@@ -36,18 +36,20 @@ from .serialization import (
     load_json,
 )
 from .verify import (
-    DEFAULT_EPSILONS,
-    FAMILY_DEFAULT_ENERGY,
     LAA_QUANTITIES,
+    QUANTITIES,
     SWEEP_FAMILIES,
     SweepConfig,
     default_sweep_suite,
     laa_check,
-    run_sweep,
+    run_suite,
 )
 
 LAA_SLACK_TOL = -1e-8
 LN2 = math.log(2.0)
+# verify options that shape one sweep; --suite fixes all of them itself.
+SWEEP_OPTIONS = ("family", "epsilons", "energy", "sampler", "pure", "dims",
+                 "channel", "ensemble_size")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,59 +240,49 @@ def _report_summary(report) -> dict:
 
 def _cmd_verify(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    summaries = []
-    total_violations = 0
+    given = {opt: getattr(args, opt) for opt in SWEEP_OPTIONS if getattr(args, opt) is not None}
     if args.suite:
+        if given:
+            flags = ", ".join("--" + opt.replace("_", "-") for opt in given)
+            raise ValidationError(f"verify --suite sets every sweep itself; drop {flags}")
         if args.out_dir is None:
             raise ValidationError("verify --suite needs --out-dir")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for config in default_sweep_suite(seed=args.seed, trials=args.trials):
-            report = run_sweep(config)
-            name = config.family
+        configs = default_sweep_suite(seed=args.seed, trials=args.trials)
+        manifest_path = args.manifest or out_dir / "manifest.json"
+    else:
+        if args.family is None:
+            raise ValidationError("verify: give --family or --suite")
+        given.setdefault("energy", QUANTITIES[args.family].energy)
+        if args.pure:
+            given["sampler"] = "pure"
+        if args.channel is not None:
+            given["channel"] = _parse_channel(args.channel)
+        configs = [SweepConfig(seed=args.seed, trials=args.trials, **given)]
+        manifest_path = args.manifest
+    summaries = []
+
+    def record(report):
+        config = report.config
+        name, path = config.family, args.out
+        if args.suite:
             if config.channel is not None:
                 name += f"-{config.channel[0]}"
             if config.pure:
                 name += "-pure"
-            path = out_dir / f"{name}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                report.to_csv(fh)
-            summary = _report_summary(report)
-            summary["csv"] = str(path)
-            summaries.append(summary)
-            total_violations += len(report.violations)
+            path = str(out_dir / f"{name}.csv")
+        _write_report_csv(report, path)
+        summary = _report_summary(report)
+        summary["csv"] = path
+        summaries.append(summary)
+        if path != "-":
             print(f"{name}: {len(report.rows)} rows, "
                   f"{len(report.violations)} violations, "
                   f"worst margin {summary['worst_margin']:.3e}")
-        manifest_path = out_dir / "manifest.json"
-    else:
-        if args.family is None:
-            raise ValidationError("verify: give --family or --suite")
-        energy = args.energy if args.energy is not None else FAMILY_DEFAULT_ENERGY[args.family]
-        config = SweepConfig(
-            family=args.family,
-            energy=energy,
-            seed=args.seed,
-            trials=args.trials,
-            epsilons=args.epsilons,
-            sampler="pure" if args.pure else args.sampler,
-            pure=args.pure,
-            dims=args.dims or (),
-            channel=None if args.channel is None else _parse_channel(args.channel),
-            ensemble_size=args.ensemble_size,
-        )
-        report = run_sweep(config)
-        _write_report_csv(report, args.out)
-        summary = _report_summary(report)
-        summary["csv"] = args.out
-        summaries.append(summary)
-        total_violations += len(report.violations)
-        if args.out != "-":
-            print(f"{config.family}: {len(report.rows)} rows, "
-                  f"{len(report.violations)} violations, "
-                  f"worst margin {summary['worst_margin']:.3e}")
-        manifest_path = Path(args.manifest) if args.manifest else None
-    if args.suite or args.manifest:
+
+    reports = run_suite(configs, on_report=record)
+    if manifest_path is not None:
         manifest = {
             "tool": f"entrobound {__version__}",
             "command": "verify",
@@ -298,14 +290,10 @@ def _cmd_verify(args) -> int:
             "finished_utc": datetime.now(timezone.utc).isoformat(),
             "reports": summaries,
         }
-        if args.suite:
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2)
-                fh.write("\n")
-        elif manifest_path is not None:
-            with open(manifest_path, "w", encoding="utf-8") as fh:
-                json.dump(manifest, fh, indent=2)
-                fh.write("\n")
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
+    total_violations = sum(len(r.violations) for r in reports)
     if total_violations:
         raise BoundViolationError(
             f"{total_violations} sweep rows exceeded their bound"
@@ -409,25 +397,27 @@ def build_parser() -> _Parser:
     p_bound.set_defaults(handler=_cmd_bound)
 
     p_verify = sub.add_parser("verify", help="run certification sweeps")
+    # Options in SWEEP_OPTIONS default to None, so --suite can refuse them.
     p_verify.add_argument("--family", choices=SWEEP_FAMILIES, default=None)
     p_verify.add_argument("--suite", action="store_true",
                           help="run the full battery including pure variants")
     p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--epsilons", type=_csv_floats, default=DEFAULT_EPSILONS)
+    p_verify.add_argument("--epsilons", type=_csv_floats, default=None)
     p_verify.add_argument("--energy", type=float, default=None)
     p_verify.add_argument("--seed", type=int, default=20240801)
-    p_verify.add_argument("--sampler", choices=("mixed", "pure", "boundary"), default="mixed")
-    p_verify.add_argument("--pure", action="store_true",
+    p_verify.add_argument("--sampler", choices=("mixed", "pure", "boundary"), default=None)
+    p_verify.add_argument("--pure", action="store_true", default=None,
                           help="pure-state variant (forces the pure sampler)")
     p_verify.add_argument("--dims", type=_csv_ints, default=None,
                           help="override sampling factor dimensions")
     p_verify.add_argument("--channel", default=None, metavar="KIND[:P1,P2]",
                           help="channel for the channel-mi family")
-    p_verify.add_argument("--ensemble-size", type=int, default=4)
+    p_verify.add_argument("--ensemble-size", type=int, default=None)
     p_verify.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
     p_verify.add_argument("--out-dir", default=None, help="directory for --suite CSVs")
     p_verify.add_argument("--manifest", default=None,
-                          help="write a run manifest (timestamps live here, not in the CSV)")
+                          help="write a run manifest (timestamps live here, not in the CSV); "
+                               "--suite defaults to OUT_DIR/manifest.json")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_laa = sub.add_parser("laa-check", help="test the two-sided mixing inequalities")

@@ -21,10 +21,6 @@ from .operators import (
 )
 
 
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
 def checked_sub(a: float, b: float) -> float:
     """a - b on the extended reals; +inf - +inf is a hard error."""
     if math.isinf(a) and math.isinf(b) and a == b:

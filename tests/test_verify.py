@@ -1,4 +1,5 @@
 """Verification harness: samplers, sweeps, determinism, mixing checks."""
+import argparse
 import io
 import math
 from types import SimpleNamespace
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 import entrobound.verify as verify_mod
+from entrobound.cli import build_parser
 from entrobound.errors import NumericalError, ValidationError
 from entrobound.gibbs import SpectrumModel, solve_inverse_temperature
 from entrobound.verify import (
     LAA_QUANTITIES,
+    SWEEP_FAMILIES,
     SweepConfig,
     _anchor_probabilities,
     _diag_energy,
@@ -22,7 +25,6 @@ from entrobound.verify import (
     run_suite,
     run_sweep,
     sample_state_pair,
-    thread_count,
 )
 
 LEVELS4 = (0.0, 1.0, 2.0, 3.0)
@@ -33,26 +35,6 @@ def small_config(**overrides):
                 epsilons=(0.1, 0.25), dims=(4,))
     base.update(overrides)
     return SweepConfig(**base)
-
-
-class TestThreadCount:
-    def test_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv("ENTROBOUND_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("ENTROBOUND_THREADS", "4")
-        assert thread_count() == 4
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("ENTROBOUND_THREADS", "many")
-        with pytest.raises(ValidationError):
-            thread_count()
-
-    def test_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("ENTROBOUND_THREADS", "0")
-        with pytest.raises(ValidationError):
-            thread_count()
 
 
 class TestSweepConfig:
@@ -73,6 +55,12 @@ class TestSweepConfig:
             SweepConfig(family="entropy", energy=1.0, seed=1, epsilons=(0.6,))
         with pytest.raises(ValidationError):
             SweepConfig(family="entropy", energy=1.0, seed=1, epsilons=())
+
+    def test_rejects_wrong_factor_count(self):
+        with pytest.raises(ValidationError, match="takes 1"):
+            SweepConfig(family="gibbs-red", energy=3.0, seed=1, dims=(4, 2))
+        with pytest.raises(ValidationError, match="at least 2"):
+            SweepConfig(family="mutual-info", energy=2.0, seed=1, dims=(4,))
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValidationError):
@@ -222,15 +210,6 @@ class TestRunSweep:
         run_sweep(small_config()).to_csv(second)
         assert first.getvalue() == second.getvalue()
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        monkeypatch.delenv("ENTROBOUND_THREADS", raising=False)
-        serial = io.StringIO()
-        run_sweep(small_config()).to_csv(serial)
-        monkeypatch.setenv("ENTROBOUND_THREADS", "3")
-        threaded = io.StringIO()
-        run_sweep(small_config()).to_csv(threaded)
-        assert serial.getvalue() == threaded.getvalue()
-
     def test_csv_header_carries_config_digest(self):
         report = run_sweep(small_config())
         stream = io.StringIO()
@@ -272,7 +251,37 @@ class TestConfigDigest:
         assert config_digest(explicit) == config_digest(defaulted)
 
 
+# config_digest of each default_sweep_suite() config, in suite order.
+# The digest hashes canonical JSON only, so it is the same on every
+# platform; a change here means dims, constraint axes, levels, bound
+# model or default channel of a battery sweep drifted.
+SUITE_DIGESTS = (
+    ("entropy", False, "e73cabda8da94488aae73a270b8921ad04dfb538249c09c838810b07942b7274"),
+    ("cond-entropy", False, "c32f6248ba7b18da112b33826f59916d8db7931241eea0744e32d2d3df42bec1"),
+    ("mutual-info", False, "442b3c766064b8d8ca357e1f094b7b788b077d170b9c79fd47cd0c6d5c12590d"),
+    ("gibbs-red", False, "45502f60b62a516102bf14779b48bf8f4d2f1b1cf4155f125cd2be9afae99aaa"),
+    ("holevo", False, "343a0bbddedbadaba6256b931678cc40b2093b61230e08f4d59fd20016514e13"),
+    ("channel-mi", False, "539c3343e3ce0dc01d111698de73863352976a5bad0dfb71ce9e570d1fe2f926"),
+    ("channel-mi", False, "b8f7f16c6bbd4e27f6b64fb16b7d376221ca24054e28b69953b5d457f504e211"),
+    ("channel-mi", False, "b2ecf845359bee92f9bad5f8c6b0623a88bb915c780cfd87ee8bb565c9afd778"),
+    ("channel-mi", False, "f78fb984e4d952ec8f67854cc142bf113be4ea585c22dc8d7711cfc665526f0a"),
+    ("channel-mi", False, "40a01160ebfc27685408cf995d15d2a55b6a78b6d81c54ffc36f65d621e07f68"),
+    ("entropy", True, "e74b9da8b4232fa48d5825264342166b88216b2d6ec3368b711f0a696690801e"),
+    ("cond-entropy", True, "792b8cdbf9174949ff0a1ec937f9bcc8f8ecdc593a7f78a1cbd862892eb9b32b"),
+    ("mutual-info", True, "17c9884b6f4726bea2f3a133d0b0da962ad4b673aae4164dd9fbdcbb4f749db4"),
+    ("gibbs-red", True, "a5271cbdf4dfa2a16b28f33b0c5df892505d279d006adbde7e6e518aa0928069"),
+    ("channel-mi", True, "c48ea27a1738e46bffc0eae19d5a6122445001eb1c618293e61ef7c1d197d506"),
+)
+
+
 class TestSuite:
+    @pytest.mark.parametrize("index", range(len(SUITE_DIGESTS)))
+    def test_suite_digest_is_pinned(self, index):
+        config = default_sweep_suite()[index]
+        family, pure, digest = SUITE_DIGESTS[index]
+        assert (config.family, config.pure) == (family, pure)
+        assert config_digest(config) == digest
+
     def test_default_suite_composition(self):
         suite = default_sweep_suite(trials=10)
         assert len(suite) == 15
@@ -326,5 +335,23 @@ class TestLaaCheck:
         with pytest.raises(ValidationError):
             laa_check("mutual-info", (4,), trials=5, seed=1)
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_nonpositive_trials(self, trials):
+        with pytest.raises(ValidationError, match="trials"):
+            laa_check("entropy", (3,), trials=trials, seed=1)
+
     def test_quantity_list_is_frozen(self):
         assert LAA_QUANTITIES == ("entropy", "cond-entropy", "mutual-info", "ree", "gibbs-red")
+
+
+class TestRegistry:
+    @staticmethod
+    def cli_choices(command, option):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in sub.choices[command]._actions if option in a.option_strings)
+        return tuple(action.choices)
+
+    def test_cli_choices_follow_registry(self):
+        assert self.cli_choices("verify", "--family") == SWEEP_FAMILIES
+        assert self.cli_choices("laa-check", "--quantity") == LAA_QUANTITIES

@@ -3,78 +3,78 @@
 A preset descriptor packages the four coefficients of an almost-local
 entropic quantity f on states with an energy constraint on subsystem B:
 
-  * growth control:   -c_minus * F(E) <= f <= c_plus * F(E), with F the
-    constrained entropy maximum of the B spectrum;
+  * growth control:   -c_minus * F(E) <= f <= c_plus * F(E), with F an
+    upper envelope of the constrained entropy maximum of B;
   * mixing control:   -a * h2(p) <= f(mix) - [p f + (1-p) f] <= b * h2(p).
 
-For states at trace distance <= epsilon <= 1/2 and energy <= E the bound
+Every bound is one template in a step delta and an envelope value F:
 
-  |f(rho) - f(sigma)| <= (c_minus + c_plus) sqrt(2 eps) F(E / eps)
-                         + g_multiplier * g(sqrt(2 eps))
+  |f(rho) - f(sigma)| <= (c_minus + c_plus) delta F + (a + b) g(delta)
 
-holds, with g the bosonic entropy function.  The pure-state variant is
-the same expression at epsilon -> epsilon^2 / 2.  All outputs are nats.
+with g the bosonic entropy function.  ``continuity_bound`` takes
+delta = sqrt(2 eps) and F(E / eps) from an envelope, for trace distance
+eps <= 1/2 and energy <= E; ``continuity_bound_finite`` takes
+delta = eps and F = ln dim_B, for eps <= 1.  The pure-state variants
+substitute eps -> eps^2 / 2.  All outputs are nats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
-from .entropy import binary_entropy, thermal_entropy
+from .entropy import thermal_entropy
 from .errors import ValidationError
-from .gibbs import SpectrumModel, max_entropy_with_tail, oscillator_entropy_cap
+from .gibbs import SpectrumModel, max_entropy_with_tail
 
 EPSILON_MAX = 0.5
+
+# Either a spectrum, whose F is solved with its truncation tail, or a
+# closed-form cap E -> F such as partial(oscillator_entropy_cap, freqs).
+Envelope = Union[SpectrumModel, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
 class BoundDescriptor:
-    """Coefficients of one almost-local quantity.
-
-    g_multiplier is stored explicitly rather than derived from a + b so
-    a preset can never drift away from its derivation silently.
-    """
+    """Coefficients of one almost-local quantity."""
 
     name: str
     c_minus: float
     c_plus: float
     a_coeff: float
     b_coeff: float
-    g_multiplier: float
-    constraint: str = "B"
 
     def __post_init__(self):
-        for label, value in (
-            ("c_minus", self.c_minus),
-            ("c_plus", self.c_plus),
-            ("a_coeff", self.a_coeff),
-            ("b_coeff", self.b_coeff),
-            ("g_multiplier", self.g_multiplier),
-        ):
+        for label in ("c_minus", "c_plus", "a_coeff", "b_coeff"):
+            value = getattr(self, label)
             if value < 0 or not math.isfinite(value):
                 raise ValidationError(f"BoundDescriptor: {label}={value!r} must be >= 0")
+
+    @property
+    def g_multiplier(self) -> float:
+        """Weight of g(delta): (1 + x) h2(x / (1 + x)) = g(x) turns a + b into it."""
+        return self.a_coeff + self.b_coeff
 
 
 PRESETS: dict[str, BoundDescriptor] = {
     # Entropy of the constrained subsystem: concave (slack h2 above),
     # nonnegative, and at most the constrained maximum.
-    "entropy": BoundDescriptor("entropy", 0.0, 1.0, 0.0, 1.0, 1.0),
+    "entropy": BoundDescriptor("entropy", 0.0, 1.0, 0.0, 1.0),
     # Conditional entropy H(A|B) with the constraint on B: bounded by
     # the B maximum on both sides, concave with slack h2.
-    "cond-entropy": BoundDescriptor("cond-entropy", 1.0, 1.0, 0.0, 1.0, 1.0),
+    "cond-entropy": BoundDescriptor("cond-entropy", 1.0, 1.0, 0.0, 1.0),
     # Mutual information I(A:B) inside a system with constrained part:
     # nonnegative, at most twice the constrained maximum, almost affine
     # with slack h2 on both sides.
-    "mutual-info": BoundDescriptor("mutual-info", 0.0, 2.0, 1.0, 1.0, 2.0),
+    "mutual-info": BoundDescriptor("mutual-info", 0.0, 2.0, 1.0, 1.0),
     # Relative-entropy distance to a closed convex set containing a
     # Gibbs family: convex (slack h2 below), between 0 and the maximum.
-    "ree": BoundDescriptor("ree", 0.0, 1.0, 1.0, 0.0, 1.0),
+    "ree": BoundDescriptor("ree", 0.0, 1.0, 1.0, 0.0),
     # Mutual information of a channel output with the input reference.
-    "channel-mi": BoundDescriptor("channel-mi", 0.0, 2.0, 1.0, 1.0, 2.0),
+    "channel-mi": BoundDescriptor("channel-mi", 0.0, 2.0, 1.0, 1.0),
     # Holevo quantity of a channel output ensemble, epsilon measured by
     # the ordered ensemble distance of the inputs.
-    "holevo": BoundDescriptor("holevo", 0.0, 2.0, 1.0, 1.0, 2.0),
+    "holevo": BoundDescriptor("holevo", 0.0, 2.0, 1.0, 1.0),
 }
 
 
@@ -106,168 +106,59 @@ def _descriptor(preset) -> BoundDescriptor:
         ) from None
 
 
-def _effective_epsilon(epsilon: float, pure: bool) -> float:
-    if not 0.0 <= epsilon <= EPSILON_MAX + 1e-12:
-        raise ValidationError(f"epsilon={epsilon!r} outside [0, 1/2]")
+def _effective_epsilon(epsilon: float, pure: bool, finite: bool = False) -> float:
+    """Check epsilon against [0, 1/2] ([0, 1] for the finite form); apply eps^2 / 2 if pure."""
+    limit, span, where = ((1.0, "1", "continuity_bound_finite: ") if finite
+                          else (EPSILON_MAX, "1/2", ""))
+    if not 0.0 <= epsilon <= limit + 1e-12:
+        raise ValidationError(f"{where}epsilon={epsilon!r} outside [0, {span}]")
     return 0.5 * epsilon * epsilon if pure else epsilon
 
 
-def continuity_bound(
-    preset,
-    model: SpectrumModel,
-    epsilon: float,
-    energy: float,
-    pure: bool = False,
-) -> BoundResult:
-    """Spectrum-backed bound (c- + c+) sqrt(2e) F(E/e) + g_mult g(sqrt(2e)).
+def _assemble(desc, epsilon, eps_eff, pure, energy, delta=None, f_argument=None,
+              f_value=None, f_tail=0.0) -> BoundResult:
+    """(c- + c+) delta F + (a + b) g(delta); delta None is the epsilon = 0 limit 0."""
+    if delta is None:
+        return BoundResult(0.0, 0.0, 0.0, desc.name, epsilon, 0.0, energy, None, None, 0.0, pure)
+    scale = (desc.c_minus + desc.c_plus) * delta
+    main = scale * f_value
+    additive = desc.g_multiplier * thermal_entropy(delta)
+    return BoundResult(main + additive, main, additive, desc.name, epsilon, eps_eff, energy,
+                       f_argument, f_value, scale * f_tail, pure)
 
-    ``epsilon = 0`` returns the continuous extension 0.
+
+def continuity_bound(preset, envelope: Envelope, epsilon: float, energy: float,
+                     pure: bool = False) -> BoundResult:
+    """Energy-constrained bound (c- + c+) sqrt(2e) F(E/e) + (a + b) g(sqrt(2e)).
+
+    ``envelope`` is a SpectrumModel (F solved, truncation tail carried)
+    or a callable E -> F with no tail.  ``epsilon = 0`` returns the
+    continuous extension 0.
     """
     desc = _descriptor(preset)
     eps_eff = _effective_epsilon(epsilon, pure)
+    if not math.isfinite(energy):
+        raise ValidationError(f"continuity_bound: energy={energy!r} must be finite")
     if eps_eff == 0.0:
-        return BoundResult(0.0, 0.0, 0.0, desc.name, epsilon, 0.0, energy, None, None, 0.0, pure)
-    root = math.sqrt(2.0 * eps_eff)
+        return _assemble(desc, epsilon, eps_eff, pure, energy)
     f_arg = energy / eps_eff
-    f_value, f_tail = max_entropy_with_tail(model, f_arg)
-    main = (desc.c_minus + desc.c_plus) * root * f_value
-    additive = desc.g_multiplier * thermal_entropy(root)
-    return BoundResult(
-        value=main + additive,
-        main_term=main,
-        additive_term=additive,
-        preset=desc.name,
-        epsilon=epsilon,
-        epsilon_effective=eps_eff,
-        energy=energy,
-        f_argument=f_arg,
-        f_value=f_value,
-        f_tail=(desc.c_minus + desc.c_plus) * root * f_tail,
-        pure=pure,
-    )
+    if isinstance(envelope, SpectrumModel):
+        f_value, f_tail = max_entropy_with_tail(envelope, f_arg)
+    else:
+        f_value, f_tail = envelope(f_arg), 0.0
+    return _assemble(desc, epsilon, eps_eff, pure, energy,
+                     math.sqrt(2.0 * eps_eff), f_arg, f_value, f_tail)
 
 
-def continuity_bound_oscillator(
-    preset,
-    frequencies,
-    epsilon: float,
-    energy: float,
-    pure: bool = False,
-) -> BoundResult:
-    """Closed-form oscillator bound using the logarithmic entropy cap."""
-    desc = _descriptor(preset)
-    eps_eff = _effective_epsilon(epsilon, pure)
-    if eps_eff == 0.0:
-        return BoundResult(0.0, 0.0, 0.0, desc.name, epsilon, 0.0, energy, None, None, 0.0, pure)
-    root = math.sqrt(2.0 * eps_eff)
-    f_arg = energy / eps_eff
-    f_value = oscillator_entropy_cap(frequencies, f_arg)
-    main = (desc.c_minus + desc.c_plus) * root * f_value
-    additive = desc.g_multiplier * thermal_entropy(root)
-    return BoundResult(
-        value=main + additive,
-        main_term=main,
-        additive_term=additive,
-        preset=desc.name,
-        epsilon=epsilon,
-        epsilon_effective=eps_eff,
-        energy=energy,
-        f_argument=f_arg,
-        f_value=f_value,
-        f_tail=0.0,
-        pure=pure,
-    )
-
-
-def continuity_bound_finite(
-    preset,
-    dim_b: int,
-    epsilon: float,
-    pure: bool = False,
-) -> BoundResult:
-    """Dimension-backed bound (c- + c+) eps ln(dim_B) + g_mult g(eps).
+def continuity_bound_finite(preset, dim_b: int, epsilon: float, pure: bool = False) -> BoundResult:
+    """Dimension-backed bound (c- + c+) eps ln(dim_B) + (a + b) g(eps).
 
     Valid for epsilon in [0, 1] (no square-root step here).
     """
     desc = _descriptor(preset)
     if dim_b < 1:
         raise ValidationError(f"continuity_bound_finite: dim_b={dim_b!r} must be >= 1")
-    if not 0.0 <= epsilon <= 1.0 + 1e-12:
-        raise ValidationError(f"continuity_bound_finite: epsilon={epsilon!r} outside [0, 1]")
-    eps_eff = 0.5 * epsilon * epsilon if pure else epsilon
+    eps_eff = _effective_epsilon(epsilon, pure, finite=True)
     if eps_eff == 0.0:
-        return BoundResult(0.0, 0.0, 0.0, desc.name, epsilon, 0.0, None, None, None, 0.0, pure)
-    main = (desc.c_minus + desc.c_plus) * eps_eff * math.log(dim_b)
-    additive = desc.g_multiplier * thermal_entropy(eps_eff)
-    return BoundResult(
-        value=main + additive,
-        main_term=main,
-        additive_term=additive,
-        preset=desc.name,
-        epsilon=epsilon,
-        epsilon_effective=eps_eff,
-        energy=None,
-        f_argument=None,
-        f_value=math.log(dim_b),
-        f_tail=0.0,
-        pure=pure,
-    )
-
-
-def bound_from_envelopes(
-    epsilon: float,
-    energy: float,
-    growth: Callable[[float], float] | None = None,
-    growth_plus: Callable[[float], float] | None = None,
-    growth_minus: Callable[[float], float] | None = None,
-    slack_lower: Callable[[float], float] = binary_entropy,
-    slack_upper: Callable[[float], float] = binary_entropy,
-    pure: bool = False,
-) -> float:
-    """General engine: sqrt(2e) [B+(E/e) + B-(E/e)] + (1+sqrt(2e)) (a+b)(e_hat).
-
-    ``growth`` supplies a single two-sided envelope (counted twice);
-    alternatively pass ``growth_plus``/``growth_minus`` separately.
-    ``slack_lower``/``slack_upper`` are the mixing slack functions of
-    the almost-locality condition, evaluated at
-    e_hat = sqrt(2e) / (1 + sqrt(2e)).
-    """
-    if (growth is None) == (growth_plus is None and growth_minus is None):
-        raise ValidationError("bound_from_envelopes: give growth, or growth_plus/minus")
-    eps_eff = _effective_epsilon(epsilon, pure)
-    if eps_eff == 0.0:
-        return 0.0
-    root = math.sqrt(2.0 * eps_eff)
-    eps_hat = root / (1.0 + root)
-    arg = energy / eps_eff
-    if growth is not None:
-        main = 2.0 * root * growth(arg)
-    else:
-        main = root * ((growth_plus(arg) if growth_plus else 0.0) + (growth_minus(arg) if growth_minus else 0.0))
-    additive = (1.0 + root) * (slack_lower(eps_hat) + slack_upper(eps_hat))
-    return main + additive
-
-
-def bound_curve(
-    preset,
-    model: SpectrumModel,
-    epsilons,
-    energy: float,
-    pure: bool = False,
-) -> tuple[list[BoundResult], list[float], bool]:
-    """Evaluate the bound on an epsilon grid with a monotone envelope.
-
-    The bound need not be monotone in epsilon (the F term grows as
-    epsilon shrinks); the envelope reports the running maximum over
-    epsilon' <= epsilon so callers can quote a monotone certificate.
-    Returns (results, envelope, monotone_flag).
-    """
-    eps_sorted = sorted(float(e) for e in epsilons)
-    results = [continuity_bound(preset, model, e, energy, pure=pure) for e in eps_sorted]
-    envelope = []
-    best = 0.0
-    for res in results:
-        best = max(best, res.value)
-        envelope.append(best)
-    monotone = all(b.value >= a.value for a, b in zip(results, results[1:]))
-    return results, envelope, monotone
+        return _assemble(desc, epsilon, eps_eff, pure, None)
+    return _assemble(desc, epsilon, eps_eff, pure, None, eps_eff, None, math.log(dim_b))

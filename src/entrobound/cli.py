@@ -13,19 +13,20 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import EPSILON_MAX, PRESETS, continuity_bound, continuity_bound_finite, continuity_bound_oscillator
+from .bounds import EPSILON_MAX, PRESETS, continuity_bound, continuity_bound_finite
 from .ensembles import ordered_distance, transport_plan
 from .errors import BoundViolationError, NumericalError, ValidationError
 from .gibbs import (
     GibbsSolution,
     SpectrumModel,
     log_power_growth_diagnostic,
-    max_entropy_with_tail,
+    oscillator_entropy_cap,
     solve_inverse_temperature,
 )
 from .serialization import (
@@ -175,22 +176,18 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.preset not in PRESETS:
-        raise ValidationError(
-            f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
-        )
+    if args.closed_form and args.oscillator is None:
+        raise ValidationError("bound: --closed-form needs --oscillator")
     if args.dim_b is not None:
+        if args.energy is not None:
+            raise ValidationError("bound: --dim-b takes no --energy")
         result = continuity_bound_finite(args.preset, args.dim_b, args.epsilon, pure=args.pure)
     else:
         if args.energy is None:
             raise ValidationError("bound: --energy is required unless --dim-b is used")
-        if args.oscillator is not None and args.closed_form:
-            result = continuity_bound_oscillator(
-                args.preset, args.oscillator, args.epsilon, args.energy, pure=args.pure
-            )
-        else:
-            model = _model_from_args(args)
-            result = continuity_bound(args.preset, model, args.epsilon, args.energy, pure=args.pure)
+        envelope = (partial(oscillator_entropy_cap, args.oscillator) if args.closed_form
+                    else _model_from_args(args))
+        result = continuity_bound(args.preset, envelope, args.epsilon, args.energy, pure=args.pure)
     unit = _unit(args.bits)
     payload = dict(jsonable(result))
     for key in ("value", "main_term", "additive_term", "f_value", "f_tail"):
@@ -247,6 +244,8 @@ def _cmd_verify(args) -> int:
             raise ValidationError(f"verify --suite sets every sweep itself; drop {flags}")
         if args.out_dir is None:
             raise ValidationError("verify --suite needs --out-dir")
+        if args.out is not None:
+            raise ValidationError("verify --suite writes its CSVs into --out-dir; drop --out")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         configs = default_sweep_suite(seed=args.seed, trials=args.trials)
@@ -254,6 +253,8 @@ def _cmd_verify(args) -> int:
     else:
         if args.family is None:
             raise ValidationError("verify: give --family or --suite")
+        if args.out_dir is not None:
+            raise ValidationError("verify: --out-dir needs --suite; use --out for one sweep")
         given.setdefault("energy", QUANTITIES[args.family].energy)
         if args.pure:
             given["sampler"] = "pure"
@@ -265,7 +266,7 @@ def _cmd_verify(args) -> int:
 
     def record(report):
         config = report.config
-        name, path = config.family, args.out
+        name, path = config.family, args.out or "-"
         if args.suite:
             if config.channel is not None:
                 name += f"-{config.channel[0]}"
@@ -413,8 +414,9 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--channel", default=None, metavar="KIND[:P1,P2]",
                           help="channel for the channel-mi family")
     p_verify.add_argument("--ensemble-size", type=int, default=None)
-    p_verify.add_argument("--out", default="-", help="CSV output path ('-' = stdout)")
-    p_verify.add_argument("--out-dir", default=None, help="directory for --suite CSVs")
+    p_verify.add_argument("--out", default=None,
+                          help="CSV output path of one sweep ('-' = stdout, the default)")
+    p_verify.add_argument("--out-dir", default=None, help="directory for the --suite CSVs")
     p_verify.add_argument("--manifest", default=None,
                           help="write a run manifest (timestamps live here, not in the CSV); "
                                "--suite defaults to OUT_DIR/manifest.json")

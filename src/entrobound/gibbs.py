@@ -617,13 +617,12 @@ def _g_estimate(model: SpectrumModel, lam: float) -> tuple[float, str]:
 
 
 def _mean_energy_estimate(model: SpectrumModel, lam: float, method: str) -> float:
-    if method == "series" and model.kind != "logpower":
-        return mean_energy(model, lam)
     if method == "series":
         try:
             return mean_energy(model, lam)
         except NumericalError:
-            method = "integral"
+            if model.kind != "logpower":
+                raise
     log_num = _logpower_log_integral(model.q, lam, 0.0, power_weight=model.q)
     log_den = _logpower_log_integral(model.q, lam, 0.0)
     return math.exp(log_num - log_den)

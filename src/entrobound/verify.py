@@ -180,6 +180,9 @@ def _check_factors(what: str, dims: tuple, lo: int, hi: int | None):
     if len(dims) < lo or (hi is not None and len(dims) > hi):
         count = lo if hi == lo else f"at least {lo}"
         raise ValidationError(f"{what} takes {count} factor(s), got dims {dims}")
+    for d in dims:
+        if d < 1:
+            raise ValidationError(f"{what} needs factor dims >= 1, got dim {d} in dims {dims}")
 
 
 def _constraint(q: Quantity, dims: tuple) -> tuple[tuple, tuple]:
@@ -215,6 +218,8 @@ class SweepConfig:
             raise ValidationError("pure-variant sweeps require sampler='pure'")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
+        if not math.isfinite(self.energy):
+            raise ValidationError(f"sweep energy {self.energy!r} must be finite")
         if self.ensemble_size < 2:
             raise ValidationError("ensemble_size must be >= 2")
         eps = tuple(float(e) for e in self.epsilons)

@@ -1,23 +1,23 @@
-"""Continuity bound evaluators: presets, closed forms, engine identity."""
+"""Continuity bound evaluators: presets, envelopes, the bound template."""
+import dataclasses
 import math
+from functools import partial
 
 import pytest
 
 from entrobound.bounds import (
     BoundDescriptor,
     PRESETS,
-    bound_curve,
-    bound_from_envelopes,
     continuity_bound,
     continuity_bound_finite,
-    continuity_bound_oscillator,
 )
 from entrobound.entropy import binary_entropy, thermal_entropy
 from entrobound.errors import ValidationError
-from entrobound.gibbs import SpectrumModel, max_entropy_with_tail
+from entrobound.gibbs import SpectrumModel, max_entropy_with_tail, oscillator_entropy_cap
 
 SINGLE_MODE = SpectrumModel.oscillator((1.0,), truncation=4096)
 TWO_LEVEL = SpectrumModel.explicit((0.0, 1.0))
+UNIT_CAP = partial(oscillator_entropy_cap, (1.0,))
 
 
 class TestPresets:
@@ -43,10 +43,12 @@ class TestPresets:
     def test_g_multiplier_consistent_with_slack_sum(self):
         for d in PRESETS.values():
             assert d.g_multiplier == d.a_coeff + d.b_coeff
+        # Derived, never stored: a descriptor has no field to drift.
+        assert "g_multiplier" not in {f.name for f in dataclasses.fields(BoundDescriptor)}
 
     def test_rejects_negative_coefficient(self):
         with pytest.raises(ValidationError):
-            BoundDescriptor("bad", -0.5, 1.0, 0.0, 1.0, 1.0)
+            BoundDescriptor("bad", -0.5, 1.0, 0.0, 1.0)
 
     def test_unknown_preset_lists_alternatives(self):
         with pytest.raises(ValidationError, match="entropy"):
@@ -57,11 +59,12 @@ class TestContinuityBound:
     def test_oscillator_closed_form_frozen(self):
         # eps = 0.08, E = 1.5, unit mode: sqrt(2 eps) = 0.4,
         # cap = ln(E/eps + 1/2) + 1 = ln 19.25 + 1, additive = g(0.4).
-        r = continuity_bound_oscillator("entropy", (1.0,), 0.08, 1.5)
+        r = continuity_bound("entropy", UNIT_CAP, 0.08, 1.5)
         assert r.main_term == pytest.approx(1.5830044242935175, abs=1e-9)
         assert r.additive_term == pytest.approx(0.8375774240193601, abs=1e-9)
         assert r.value == pytest.approx(2.4205818483128776, abs=1e-9)
         assert r.f_argument == pytest.approx(18.75)
+        assert r.f_tail == 0.0
 
     def test_spectrum_backed_matches_exact_unit_mode(self):
         # F(E) = g(E - 1/2) for the unit oscillator, so the main term is
@@ -73,7 +76,7 @@ class TestContinuityBound:
     def test_spectrum_never_exceeds_oscillator_cap(self):
         for eps in (0.01, 0.05, 0.1, 0.25, 0.5):
             exact = continuity_bound("entropy", SINGLE_MODE, eps, 2.0)
-            cap = continuity_bound_oscillator("entropy", (1.0,), eps, 2.0)
+            cap = continuity_bound("entropy", UNIT_CAP, eps, 2.0)
             assert exact.value <= cap.value + 1e-12
 
     def test_value_is_sum_of_terms(self):
@@ -103,8 +106,19 @@ class TestContinuityBound:
         with pytest.raises(ValidationError):
             continuity_bound("entropy", TWO_LEVEL, -0.1, 1.0)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("envelope", [TWO_LEVEL, UNIT_CAP], ids=["spectrum", "callable"])
+    def test_rejects_non_finite_energy(self, envelope, energy):
+        for eps in (0.0, 0.1):
+            with pytest.raises(ValidationError, match="energy"):
+                continuity_bound("entropy", envelope, eps, energy)
+
+    def test_closed_form_cap_rejects_energy_below_zero_point(self):
+        with pytest.raises(ValidationError, match="zero-point"):
+            continuity_bound("entropy", UNIT_CAP, 0.5, 0.2)
+
     def test_accepts_custom_descriptor(self):
-        desc = BoundDescriptor("custom", 0.5, 0.5, 0.0, 0.0, 0.0)
+        desc = BoundDescriptor("custom", 0.5, 0.5, 0.0, 0.0)
         r = continuity_bound(desc, TWO_LEVEL, 0.2, 0.4)
         assert r.preset == "custom"
         assert r.additive_term == 0.0
@@ -139,66 +153,67 @@ class TestFiniteBound:
 
 class TestEnvelopeEngine:
     def test_mixing_slack_identity(self):
-        # (1 + x) h2(x / (1 + x)) = g(x) links the engine form to the
-        # preset form.
+        # (1 + x) h2(x / (1 + x)) = g(x) links the mixing slack to the
+        # additive term.
         for x in (0.01, 0.4, 1.0, 3.0):
             lhs = (1 + x) * binary_entropy(x / (1 + x))
             assert lhs == pytest.approx(thermal_entropy(x), rel=1e-12)
 
     def test_matches_entropy_preset(self):
+        # A callable envelope returning the solved F gives the spectrum
+        # result with a zero tail.
         def envelope(arg):
             return max_entropy_with_tail(SINGLE_MODE, arg)[0]
 
         for eps in (0.01, 0.08, 0.3, 0.5):
-            via = bound_from_envelopes(
-                eps,
-                1.5,
-                growth_plus=envelope,
-                slack_lower=lambda p: 0.0,
-                slack_upper=binary_entropy,
-            )
+            via = continuity_bound("entropy", envelope, eps, 1.5)
             direct = continuity_bound("entropy", SINGLE_MODE, eps, 1.5)
-            assert via == pytest.approx(direct.value, rel=1e-12)
+            assert via.value == direct.value
+            assert via.f_tail == 0.0
 
     def test_matches_mutual_info_preset(self):
         def envelope(arg):
             return max_entropy_with_tail(SINGLE_MODE, arg)[0]
 
         for eps in (0.05, 0.25):
-            via = bound_from_envelopes(eps, 1.5, growth=envelope)
-            direct = continuity_bound("mutual-info", SINGLE_MODE, eps, 1.5)
-            assert via == pytest.approx(direct.value, rel=1e-12)
-
-    def test_rejects_ambiguous_growth_arguments(self):
-        with pytest.raises(ValidationError):
-            bound_from_envelopes(0.1, 1.0)
-        with pytest.raises(ValidationError):
-            bound_from_envelopes(0.1, 1.0, growth=lambda a: 1.0, growth_plus=lambda a: 1.0)
+            for pure in (False, True):
+                via = continuity_bound("mutual-info", envelope, eps, 1.5, pure=pure)
+                direct = continuity_bound("mutual-info", SINGLE_MODE, eps, 1.5, pure=pure)
+                assert dataclasses.replace(via, f_tail=direct.f_tail) == direct
 
 
-class TestBoundCurve:
-    def test_envelope_is_running_maximum(self):
-        # A descriptor with no additive slack on a two-level spectrum at
-        # tiny energy is genuinely non-monotone: the F term saturates at
-        # ln 2 while sqrt(2 eps) keeps shrinking.
-        desc = BoundDescriptor("main-only", 0.0, 1.0, 0.0, 0.0, 0.0)
-        results, envelope, monotone = bound_curve(
-            desc, TWO_LEVEL, [0.5, 0.005, 0.125, 0.02], 0.005
-        )
-        assert monotone is False
-        values = [r.value for r in results]
-        assert values[1] > values[2] > values[3]
-        running = []
-        best = 0.0
-        for v in values:
-            best = max(best, v)
-            running.append(best)
-        assert envelope == running
+def _template(desc, delta, f_value):
+    """delta (c- + c+) F + (1 + delta) (a + b) h2(delta / (1 + delta))."""
+    slack = (1 + delta) * (desc.a_coeff + desc.b_coeff) * binary_entropy(delta / (1 + delta))
+    return delta * (desc.c_minus + desc.c_plus) * f_value + slack
 
-    def test_preset_curve_is_monotone_here(self):
-        results, envelope, monotone = bound_curve(
-            "entropy", SINGLE_MODE, [0.01, 0.05, 0.1, 0.25, 0.5], 2.0
-        )
-        assert monotone is True
-        assert envelope == [r.value for r in results]
-        assert [r.epsilon for r in results] == sorted(r.epsilon for r in results)
+
+class TestReferenceTemplate:
+    """Every evaluator against the template written out from the coefficients."""
+
+    ENERGY = 1.5
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("envelope", [SINGLE_MODE, TWO_LEVEL, UNIT_CAP],
+                             ids=["oscillator", "two-level", "closed-form"])
+    def test_energy_constrained(self, preset, envelope):
+        desc = PRESETS[preset]
+        for eps, pure in ((0.01, False), (0.08, False), (0.5, False), (0.3, True)):
+            eps_eff = 0.5 * eps * eps if pure else eps
+            arg = self.ENERGY / eps_eff
+            if isinstance(envelope, SpectrumModel):
+                f_value = max_entropy_with_tail(envelope, arg)[0]
+            else:
+                f_value = oscillator_entropy_cap((1.0,), arg)
+            want = _template(desc, math.sqrt(2 * eps_eff), f_value)
+            got = continuity_bound(preset, envelope, eps, self.ENERGY, pure=pure)
+            assert got.value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_finite(self, preset):
+        desc = PRESETS[preset]
+        for dim, eps, pure in ((2, 0.01, False), (8, 0.3, False), (8, 1.0, False), (5, 0.9, True)):
+            eps_eff = 0.5 * eps * eps if pure else eps
+            want = _template(desc, eps_eff, math.log(dim))
+            got = continuity_bound_finite(preset, dim, eps, pure=pure)
+            assert got.value == pytest.approx(want, rel=1e-12)

@@ -141,6 +141,32 @@ class TestBoundCommand:
         bits = json.loads(capsys.readouterr().out)["value"]
         assert bits == pytest.approx(nats / LN2, rel=1e-12)
 
+    @pytest.mark.parametrize("energy", ["nan", "inf"])
+    @pytest.mark.parametrize("closed_form", [[], ["--closed-form"]], ids=["solved", "closed-form"])
+    def test_non_finite_energy_exits_one(self, capsys, energy, closed_form):
+        rc = main(["bound", "--preset", "entropy", "--oscillator", "1", "--epsilon", "0.1",
+                   "--energy", energy] + closed_form)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: continuity_bound: energy={energy}" in captured.err
+
+    def test_closed_form_needs_oscillator(self, capsys):
+        rc = main(["bound", "--preset", "entropy", "--levels", "0,1", "--closed-form",
+                   "--epsilon", "0.1", "--energy", "0.3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--closed-form needs --oscillator" in captured.err
+
+    def test_dim_b_refuses_energy(self, capsys):
+        rc = main(["bound", "--preset", "entropy", "--dim-b", "8", "--epsilon", "0.1",
+                   "--energy", "1.0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dim-b takes no --energy" in captured.err
+
 
 class TestVerifyCommand:
     BASE = ["verify", "--family", "entropy", "--dims", "4", "--trials", "3",
@@ -216,6 +242,38 @@ class TestVerifyCommand:
     def test_suite_requires_out_dir(self, capsys):
         assert main(["verify", "--suite", "--trials", "2"]) == 1
 
+    def test_suite_refuses_out(self, tmp_path, capsys):
+        rc = main(["verify", "--suite", "--trials", "1", "--out-dir", str(tmp_path),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "drop --out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_sweep_refuses_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweeps"
+        rc = main(self.BASE + ["--out-dir", str(out_dir)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out-dir needs --suite" in captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("energy", ["nan", "inf"])
+    def test_non_finite_energy_exits_one(self, capsys, energy):
+        rc = main(["verify", "--family", "entropy", "--dims", "4", "--trials", "1",
+                   "--epsilons", "0.1", "--energy", energy])
+        assert rc == 1
+        assert f"error: sweep energy {energy} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["0", "-2", "4,0"])
+    def test_nonpositive_dim_exits_one(self, capsys, dims):
+        family = "cond-entropy" if "," in dims else "entropy"
+        rc = main(["verify", "--family", family, "--dims", dims, "--trials", "1",
+                   "--epsilons", "0.1"])
+        assert rc == 1
+        bad = [d for d in dims.split(",") if int(d) < 1][0]
+        assert f"got dim {bad} in dims" in capsys.readouterr().err
+
     def test_family_or_suite_required(self, capsys):
         assert main(["verify", "--trials", "2"]) == 1
 
@@ -258,6 +316,14 @@ class TestLaaCheckCommand:
         rc = main(["laa-check", "--quantity", "entropy", "--dims", "2,2",
                    "--trials", "5"])
         assert rc == 1
+
+    @pytest.mark.parametrize("quantity,dims", [("entropy", "0"), ("mutual-info", "2,-1")])
+    def test_nonpositive_dim_exits_one(self, capsys, quantity, dims):
+        rc = main(["laa-check", "--quantity", quantity, "--dims", dims, "--trials", "3"])
+        assert rc == 1
+        bad = [d for d in dims.split(",") if int(d) < 1][0]
+        assert f"error: laa-check of {quantity} needs factor dims >= 1, got dim {bad}" \
+            in capsys.readouterr().err
 
 
 class TestLemma2Command:

@@ -62,6 +62,18 @@ class TestSweepConfig:
         with pytest.raises(ValidationError, match="at least 2"):
             SweepConfig(family="mutual-info", energy=2.0, seed=1, dims=(4,))
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_energy(self, energy):
+        with pytest.raises(ValidationError, match=f"sweep energy {energy!r} must be finite"):
+            SweepConfig(family="entropy", energy=energy, seed=1)
+
+    @pytest.mark.parametrize("family,dims", [("entropy", (0,)), ("cond-entropy", (4, -1)),
+                                             ("mutual-info", (2, 0, 4))])
+    def test_rejects_nonpositive_factor_dim(self, family, dims):
+        bad = min(dims)
+        with pytest.raises(ValidationError, match=f"got dim {bad} in dims"):
+            SweepConfig(family=family, energy=2.0, seed=1, dims=dims)
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ValidationError):
             SweepConfig(family="entropy", energy=1.0, seed=1, trials=0)
@@ -339,6 +351,12 @@ class TestLaaCheck:
     def test_rejects_nonpositive_trials(self, trials):
         with pytest.raises(ValidationError, match="trials"):
             laa_check("entropy", (3,), trials=trials, seed=1)
+
+    @pytest.mark.parametrize("quantity,dims", [("entropy", (0,)), ("cond-entropy", (3, 0)),
+                                               ("ree", (-2,))])
+    def test_rejects_nonpositive_factor_dim(self, quantity, dims):
+        with pytest.raises(ValidationError, match=f"got dim {min(dims)} in dims"):
+            laa_check(quantity, dims, trials=3, seed=1)
 
     def test_quantity_list_is_frozen(self):
         assert LAA_QUANTITIES == ("entropy", "cond-entropy", "mutual-info", "ree", "gibbs-red")

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble
-from .entropy import holevo_chi, mutual_information
+# mutual_information is not called here; perfbench/tracing.py wraps
+# channels.mutual_information, so the name stays importable from this module.
+from .entropy import holevo_chi, mutual_information, von_neumann_entropy  # noqa: F401
 from .errors import ValidationError
 from .operators import DensityMatrix, SubsystemShape, purify
 
@@ -110,23 +112,33 @@ def stinespring(channel: Channel) -> np.ndarray:
 
 
 def channel_mi(channel: Channel, rho: DensityMatrix) -> float:
-    """Mutual information between channel output and an input reference.
+    """Mutual information I(B:R) between channel output B and an input reference R.
 
-    The input state is purified with the reference in the second slot;
-    the channel acts on the system half and the output state stays pure
-    over (output, environment, reference), so only a
-    (dim_out * dim_ref) density matrix is ever formed.
+    The input is purified with the reference R in the second slot.  The
+    channel's Stinespring output is pure over (B, E, R), so
+    I(B:R) = H(R) + H(B) - H(E), with H(R) = H(rho) and H(B) = H(N(rho)).
+    The environment state rho_E[k, l] = <K_l sqrt(rho), K_k sqrt(rho)> is
+    the Gram matrix of the Kraus-applied purification, and the joint
+    (B, R) state has the same nonzero spectrum.  H(E) is taken from the
+    smaller of the two: n_kraus x n_kraus, or (dim_out * dim_ref) squared
+    when the channel has more Kraus operators than that.
     """
     if rho.dim != channel.dim_in:
         raise ValidationError(
             f"channel_mi: state dim {rho.dim} != channel input dim {channel.dim_in}"
         )
-    d_ref = rho.dim
-    psi_mat = purify(rho).vector.reshape(rho.dim, d_ref)
-    vs = np.stack([(k @ psi_mat).reshape(-1) for k in channel.kraus])
-    rho_out = vs.T @ vs.conj()
-    joint = DensityMatrix(rho_out)
-    return mutual_information(joint, SubsystemShape((channel.dim_out, d_ref)))
+    psi_mat = purify(rho).vector.reshape(rho.dim, rho.dim)
+    # vs[k] = K_k psi_mat, one (dim_out, dim_ref) block per Kraus operator.
+    vs = np.stack([k @ psi_mat for k in channel.kraus])
+    n_kraus = vs.shape[0]
+    # N(rho) = sum_k vs[k] vs[k]^dag, from the blocks already formed.
+    per_output = vs.transpose(1, 0, 2).reshape(channel.dim_out, -1)
+    rho_b = DensityMatrix(per_output @ per_output.conj().T)
+    flat = vs.reshape(n_kraus, -1)
+    # The environment's Gram matrix, or the joint (B, R) state when that is smaller.
+    env = flat @ flat.conj().T if n_kraus <= flat.shape[1] else flat.T @ flat.conj()
+    return (von_neumann_entropy(rho) + von_neumann_entropy(rho_b)
+            - von_neumann_entropy(DensityMatrix(env)))
 
 
 def output_holevo(channel: Channel, ensemble: Ensemble) -> float:

@@ -9,6 +9,7 @@ with timestamps goes into the separate manifest JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -96,27 +97,34 @@ def _add_spectrum_args(parser, with_dim_b=False):
         group.add_argument("--dim-b", type=int, metavar="D",
                            help="finite-dimensional constrained part (no energy needed)")
     parser.add_argument("--truncation", type=int, default=None,
-                        help="series truncation for infinite spectra")
+                        help="series truncation of a solved oscillator or log-power spectrum")
+
+
+def _refuse_truncation(args, what: str):
+    if args.truncation is not None:
+        raise ValidationError(
+            f"--truncation applies only to a solved oscillator or log-power spectrum; "
+            f"{what} has no series to truncate")
 
 
 def _model_from_args(args) -> SpectrumModel:
     kw = {}
     if args.truncation is not None:
         kw["truncation"] = args.truncation
-    if args.levels is not None:
-        return SpectrumModel.explicit(args.levels)
     if args.oscillator is not None:
         return SpectrumModel.oscillator(args.oscillator, **kw)
     if args.logpower is not None:
         return SpectrumModel.log_power(args.logpower, **kw)
     if args.spectrum is not None:
         model = decode_spectrum(load_json(args.spectrum))
-        if kw and model.kind != "explicit":
-            model = SpectrumModel(kind=model.kind, levels=model.levels,
-                                  frequencies=model.frequencies, q=model.q, **kw)
+    elif args.levels is not None:
+        model = SpectrumModel.explicit(args.levels)
+    else:
+        model = SpectrumModel.explicit(np.linalg.eigvalsh(load_hermitian(args.hamiltonian).matrix))
+    if model.kind == "explicit":
+        _refuse_truncation(args, "an explicit spectrum")
         return model
-    levels = np.linalg.eigvalsh(load_hermitian(args.hamiltonian).matrix)
-    return SpectrumModel.explicit(levels)
+    return dataclasses.replace(model, **kw)
 
 
 def _entropic(value: float, bits: bool) -> float:
@@ -181,12 +189,16 @@ def _cmd_bound(args) -> int:
     if args.dim_b is not None:
         if args.energy is not None:
             raise ValidationError("bound: --dim-b takes no --energy")
+        _refuse_truncation(args, "the finite --dim-b form")
         result = continuity_bound_finite(args.preset, args.dim_b, args.epsilon, pure=args.pure)
     else:
         if args.energy is None:
             raise ValidationError("bound: --energy is required unless --dim-b is used")
-        envelope = (partial(oscillator_entropy_cap, args.oscillator) if args.closed_form
-                    else _model_from_args(args))
+        if args.closed_form:
+            _refuse_truncation(args, "the --closed-form cap")
+            envelope = partial(oscillator_entropy_cap, args.oscillator)
+        else:
+            envelope = _model_from_args(args)
         result = continuity_bound(args.preset, envelope, args.epsilon, args.energy, pure=args.pure)
     unit = _unit(args.bits)
     payload = dict(jsonable(result))

@@ -58,8 +58,8 @@ def thermal_entropy(x: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """H(rho) = -Tr rho ln rho in nats."""
-    w = np.linalg.eigvalsh(rho.matrix)
+    """H(rho) = -Tr rho ln rho in nats, from the spectrum rho keeps."""
+    w = rho.spectrum
     cut = EIGENVALUE_CUTOFF * float(np.max(np.abs(w))) if w.size else 0.0
     w = w[w > cut]
     return float(_eta(w).sum())
@@ -93,26 +93,27 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return max(value, 0.0)
 
 
-def mutual_information(rho_ab: DensityMatrix, shape) -> float:
-    """I(A:B) = H(A) + H(B) - H(AB) of a bipartite state, in nats."""
+def _bipartite_entropies(rho_ab: DensityMatrix, shape, what: str) -> tuple[float, float, float]:
+    """(H(A), H(B), H(AB)) of a two-factor state."""
     sh = shape if isinstance(shape, SubsystemShape) else SubsystemShape(tuple(shape))
     if len(sh.dims) != 2:
-        raise ValidationError(f"mutual_information: expected 2 factors, got {sh.dims}")
+        raise ValidationError(f"{what}: expected 2 factors, got {sh.dims}")
     sh.check_matches(rho_ab.dim)
     h_a = von_neumann_entropy(partial_trace(rho_ab, sh, (0,)))
     h_b = von_neumann_entropy(partial_trace(rho_ab, sh, (1,)))
-    h_ab = von_neumann_entropy(rho_ab)
+    return h_a, h_b, von_neumann_entropy(rho_ab)
+
+
+def mutual_information(rho_ab: DensityMatrix, shape) -> float:
+    """I(A:B) = H(A) + H(B) - H(AB) of a bipartite state, in nats."""
+    h_a, h_b, h_ab = _bipartite_entropies(rho_ab, shape, "mutual_information")
     return h_a + h_b - h_ab
 
 
 def conditional_entropy(rho_ab: DensityMatrix, shape) -> float:
     """H(A|B) written as H(A) - I(A:B), the form that extends to infinite B."""
-    sh = shape if isinstance(shape, SubsystemShape) else SubsystemShape(tuple(shape))
-    if len(sh.dims) != 2:
-        raise ValidationError(f"conditional_entropy: expected 2 factors, got {sh.dims}")
-    sh.check_matches(rho_ab.dim)
-    h_a = von_neumann_entropy(partial_trace(rho_ab, sh, (0,)))
-    return h_a - mutual_information(rho_ab, sh)
+    h_a, h_b, h_ab = _bipartite_entropies(rho_ab, shape, "conditional_entropy")
+    return h_a - (h_a + h_b - h_ab)
 
 
 def holevo_chi(ensemble) -> float:

@@ -59,20 +59,32 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated density matrix: Hermitian, unit trace, PSD within tolerance."""
+    """A validated density matrix: Hermitian, unit trace, PSD within tolerance.
+
+    The state owns a read-only copy of the matrix it was given, and keeps
+    the ascending ``eigvalsh`` spectrum of that copy, computed once for the
+    positivity check, as the read-only attribute ``spectrum``.  Entropies
+    read the spectrum instead of decomposing the matrix again; since
+    neither array can be written, the two never disagree.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _square_complex(self.matrix, "DensityMatrix")
+        arr = _square_complex(np.array(self.matrix, dtype=complex), "DensityMatrix")
         _check_hermitian(arr, "DensityMatrix")
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"DensityMatrix: trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
-        wmin = float(np.linalg.eigvalsh(arr)[0])
+        spectrum = np.linalg.eigvalsh(arr)
+        wmin = float(spectrum[0])
         if wmin < -POSITIVITY_TOL:
             raise ValidationError(f"DensityMatrix: negative eigenvalue {wmin:.3e}")
+        arr.flags.writeable = False
+        spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
+        # Not a dataclass field, so serialization and repr see the matrix only.
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:

@@ -49,6 +49,7 @@ MARGIN_TOL = -1e-9
 ANCHOR_FRACTION = 0.75
 BOUNDARY_FRACTION = 0.99
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.25, 0.5)
+DEFAULT_ENSEMBLE_SIZE = 4
 
 CSV_COLUMNS = (
     "trial",
@@ -205,7 +206,7 @@ class SweepConfig:
     pure: bool = False
     dims: tuple = ()
     channel: tuple | None = None
-    ensemble_size: int = 4
+    ensemble_size: int = DEFAULT_ENSEMBLE_SIZE
 
     def __post_init__(self):
         if self.family not in SWEEP_FAMILIES:
@@ -222,6 +223,11 @@ class SweepConfig:
             raise ValidationError(f"sweep energy {self.energy!r} must be finite")
         if self.ensemble_size < 2:
             raise ValidationError("ensemble_size must be >= 2")
+        if self.ensemble_size != DEFAULT_ENSEMBLE_SIZE and not QUANTITIES[self.family].ensemble:
+            raise ValidationError(
+                f"ensemble_size {self.ensemble_size} applies only to ensemble sweeps; "
+                f"{self.family} sweeps sample states"
+            )
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValidationError("epsilons must be nonempty")

@@ -20,7 +20,7 @@ from entrobound.channels import (
     stinespring,
 )
 from entrobound.ensembles import Ensemble
-from entrobound.entropy import holevo_chi, mutual_information, von_neumann_entropy
+from entrobound.entropy import holevo_chi, von_neumann_entropy
 from entrobound.errors import ValidationError
 from entrobound.operators import DensityMatrix, SubsystemShape, partial_trace, tensor
 from conftest import random_density
@@ -191,20 +191,56 @@ class TestChannelMi:
             assert channel_mi(ch, pure) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_stinespring_dilation_route(self, rng):
-        # Independent route: purify the input, lift V on the system
-        # half, compute I(output : reference) on the full state.
-        from entrobound.operators import purify
+        # Independent route: purify the input with numpy, lift the
+        # Stinespring isometry V on the system half, and take
+        # I(B:R) = H(B) + H(R) - H(BR) of the full (B, E, R) output vector.
+        # Rank-deficient inputs and depolarizing, with d**2 + 1 Kraus
+        # operators, reach both sides of the Gram/joint duality.
+        def entropy(mat):
+            w = np.linalg.eigvalsh(mat)
+            w = w[w > 1e-300]
+            return float(-np.sum(w * np.log(w)))
 
-        rho = random_density(rng, 2)
-        for ch in channel_zoo(2):
-            v = stinespring(ch)
-            n_env = len(ch.kraus)
-            psi = purify(rho).vector.reshape(2, 2)
-            lifted = np.kron(v, np.eye(2)) @ psi.reshape(-1)
-            full = DensityMatrix(np.outer(lifted, lifted.conj()))
-            no_env = partial_trace(full, (ch.dim_out, n_env, 2), (0, 2))
-            expected = mutual_information(no_env, SubsystemShape((ch.dim_out, 2)))
-            assert channel_mi(ch, rho) == pytest.approx(expected, abs=1e-9)
+        for d in (2, 3, 4, 5):
+            for rank in (d, d - 1, 1):
+                g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+                rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+                w, u = np.linalg.eigh(rho.matrix)
+                psi = u * np.sqrt(np.clip(w, 0.0, None))
+                for ch in channel_zoo(d):
+                    n_env = len(ch.kraus)
+                    out = (stinespring(ch) @ psi).reshape(ch.dim_out, n_env, d)
+                    rho_br = np.einsum("ber,cet->brct", out, out.conj())
+                    rho_br = rho_br.reshape(ch.dim_out * d, ch.dim_out * d)
+                    expected = (entropy(np.einsum("ber,cer->bc", out, out.conj()))
+                                + entropy(np.einsum("ber,bet->rt", out, out.conj()))
+                                - entropy(rho_br))
+                    assert channel_mi(ch, rho) == pytest.approx(expected, abs=1e-10), \
+                        (ch.name, d, rank)
+
+    @pytest.mark.parametrize("kind,params,joint_sized", [
+        ("attenuator", (0.8,), 0), ("depolarizing", (0.25,), 1),
+    ])
+    def test_decomposes_at_most_one_joint_sized_matrix(self, rng, monkeypatch,
+                                                       kind, params, joint_sized):
+        # d = 16: attenuator has 16 Kraus operators, so H(E) comes from a
+        # 16x16 Gram matrix; depolarizing has 257 > 16 * 16, so from the
+        # 256x256 joint state, decomposed once.
+        ch = make_channel(kind, 16, params)
+        rho = random_density(rng, 16)
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                sizes.append(np.shape(a)[0])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        channel_mi(ch, rho)
+        assert sizes
+        assert sizes.count(256) == joint_sized
+        assert all(n in (16, 256) for n in sizes)
 
     def test_full_depolarizing_gives_zero(self, rng):
         rho = random_density(rng, 3)

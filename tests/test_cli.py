@@ -168,6 +168,52 @@ class TestBoundCommand:
         assert "--dim-b takes no --energy" in captured.err
 
 
+class TestTruncationOption:
+    BOUND = ["bound", "--preset", "entropy", "--epsilon", "0.1", "--truncation", "5"]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        ham = tmp_path / "h.json"
+        ham.write_text(json.dumps(encode_matrix(np.diag([0.0, 1.0]))))
+        spec = tmp_path / "explicit.json"
+        spec.write_text(json.dumps({"kind": "explicit", "levels": [0.0, 1.0]}))
+        return {"HAM": str(ham), "SPEC": str(spec)}
+
+    @pytest.mark.parametrize("envelope,what", [
+        (["--levels", "0,1", "--energy", "0.3"], "an explicit spectrum"),
+        (["--hamiltonian", "HAM", "--energy", "0.3"], "an explicit spectrum"),
+        (["--spectrum", "SPEC", "--energy", "0.3"], "an explicit spectrum"),
+        (["--dim-b", "4"], "the finite --dim-b form"),
+        (["--oscillator", "1", "--closed-form", "--energy", "1.5"], "the --closed-form cap"),
+    ], ids=["levels", "hamiltonian", "explicit-spectrum-file", "dim-b", "closed-form"])
+    def test_bound_refuses_truncation_without_a_series(self, capsys, files, envelope, what):
+        rc = main(self.BOUND + [files.get(arg, arg) for arg in envelope])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--truncation applies only to a solved oscillator or log-power spectrum; {what}" \
+            in captured.err
+
+    @pytest.mark.parametrize("envelope", [["--levels", "0,1"], ["--hamiltonian", "HAM"],
+                                          ["--spectrum", "SPEC"]],
+                             ids=["levels", "hamiltonian", "explicit-spectrum-file"])
+    def test_gibbs_refuses_truncation_of_explicit_levels(self, capsys, files, envelope):
+        rc = main(["gibbs", "--energy", "0.25", "--truncation", "5"]
+                  + [files.get(arg, arg) for arg in envelope])
+        assert rc == 1
+        assert "--truncation applies only" in capsys.readouterr().err
+
+    def test_truncation_reaches_an_oscillator_spectrum_file(self, tmp_path, capsys):
+        path = tmp_path / "osc.json"
+        path.write_text(json.dumps({"kind": "oscillator", "frequencies": [1.0]}))
+        args = ["gibbs", "--spectrum", str(path), "--lam", "0.05", "--json"]
+        assert main(args) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert main(args + ["--truncation", "5"]) == 0
+        truncated = json.loads(capsys.readouterr().out)
+        assert truncated["tail_bound"] > full["tail_bound"]
+
+
 class TestVerifyCommand:
     BASE = ["verify", "--family", "entropy", "--dims", "4", "--trials", "3",
             "--epsilons", "0.1,0.25", "--energy", "1.0", "--seed", "7"]
@@ -273,6 +319,13 @@ class TestVerifyCommand:
         assert rc == 1
         bad = [d for d in dims.split(",") if int(d) < 1][0]
         assert f"got dim {bad} in dims" in capsys.readouterr().err
+
+    def test_state_family_refuses_ensemble_size(self, capsys):
+        rc = main(self.BASE + ["--ensemble-size", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ensemble_size 3 applies only to ensemble sweeps" in captured.err
 
     def test_family_or_suite_required(self, capsys):
         assert main(["verify", "--trials", "2"]) == 1

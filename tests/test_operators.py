@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entrobound.entropy import von_neumann_entropy
 from entrobound.errors import ValidationError
 from entrobound.operators import (
     DensityMatrix,
@@ -45,6 +46,24 @@ class TestValidation:
 
     def test_density_accepts_tiny_negative_noise(self):
         DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
+
+    def test_density_owns_a_read_only_copy(self, rng):
+        source = random_density(rng, 4).matrix.copy()
+        rho = DensityMatrix(source)
+        assert not np.shares_memory(rho.matrix, source)
+        assert not rho.matrix.flags.writeable
+        assert not rho.spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+        kept, entropy_before = rho.matrix.copy(), von_neumann_entropy(rho)
+        assert entropy_before < math.log(4) - 1e-3
+        source[:] = np.eye(4) / 4
+        assert np.array_equal(rho.matrix, kept)
+        assert von_neumann_entropy(rho) == entropy_before
+
+    def test_density_spectrum_is_its_eigvalsh(self, rng):
+        rho = random_density(rng, 5)
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
 
     def test_pure_vector_rejects_unnormalized(self):
         with pytest.raises(ValidationError):

@@ -80,6 +80,12 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             SweepConfig(family="holevo", energy=1.0, seed=1, ensemble_size=1)
 
+    @pytest.mark.parametrize("family", [f for f in SWEEP_FAMILIES
+                                        if not verify_mod.QUANTITIES[f].ensemble])
+    def test_state_families_refuse_ensemble_size(self, family):
+        with pytest.raises(ValidationError, match="ensemble_size 3 applies only to ensemble"):
+            SweepConfig(family=family, energy=2.0, seed=1, ensemble_size=3)
+
 
 class TestResolveWiring:
     def test_entropy_defaults(self):

@@ -26,9 +26,11 @@ from .errors import BoundViolationError, NumericalError, ValidationError
 from .gibbs import (
     GibbsSolution,
     SpectrumModel,
+    entropy_maximizer,
+    log_partition,
     log_power_growth_diagnostic,
+    mean_energy,
     oscillator_entropy_cap,
-    solve_inverse_temperature,
 )
 from .serialization import (
     decode_spectrum,
@@ -149,10 +151,12 @@ def _cmd_gibbs(args) -> int:
     if (args.energy is None) == (args.lam is None):
         raise ValidationError("gibbs: give exactly one of --energy or --lam")
     if args.energy is not None:
-        sol = solve_inverse_temperature(model, args.energy)
+        sol = entropy_maximizer(model, args.energy)
+        if sol.flag is not None:
+            # A clamped multiplier misses E; report the mean energy of
+            # the state at that multiplier, not the target.
+            sol = dataclasses.replace(sol, energy=mean_energy(model, sol.lam))
     else:
-        from .gibbs import log_partition, mean_energy
-
         if args.lam <= 0:
             raise ValidationError(f"--lam must be positive, got {args.lam}")
         log_z, tail = log_partition(model, args.lam)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NumericalError, ValidationError
 from .operators import DensityMatrix, tensor, trace_norm
@@ -135,6 +134,9 @@ def transport_plan(mu: Ensemble, nu: Ensemble) -> tuple[float, TransportPlan]:
     for j in range(n):
         a_eq[m + j, j::n] = 1.0
     b_eq = np.concatenate([p, q])
+    # Imported here: scipy is slow to import and only this LP needs it.
+    from scipy.optimize import linprog
+
     res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise NumericalError(f"transport_plan: LP solve failed: {res.message}")

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import logsumexp, softmax
 
 from .entropy import von_neumann_entropy
 from .errors import NumericalError, ValidationError
@@ -139,6 +137,47 @@ def truncated_levels(model: SpectrumModel, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# numerical kernels
+# ---------------------------------------------------------------------------
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum(exp(a)) over a 1-D array, in scipy.special.logsumexp's arithmetic.
+
+    The terms equal to the maximum are counted, not exponentiated:
+    ln(count) + max + log1p(rest / count), which keeps the values of
+    scipy 1.17 bit for bit.  Non-finite results fall back to the direct
+    sum, as scipy's do.
+    """
+    a_max = np.max(a)
+    at_max = a == a_max
+    count = np.sum(at_max, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+        out = np.log1p(rest / count) + np.log(count) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """exp(x) / sum(exp(x)), shifted by the maximum as scipy.special.softmax is."""
+    e = np.exp(x - np.max(x))
+    return e / np.sum(e)
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call.
+
+    Only log-power spectra integrate, so the other spectra (and the CLI's
+    start-up) never pay for importing scipy.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # log-power integral comparisons
 # ---------------------------------------------------------------------------
 
@@ -218,7 +257,7 @@ def _logpower_series(q: float, lam: float, n: int) -> tuple[float, float]:
     """(ln of truncated series, ln of tail upper bound)."""
     ks = np.arange(1, n + 1, dtype=float)
     expo = -lam * np.log(ks) ** q
-    log_s = float(logsumexp(expo))
+    log_s = _logsumexp(expo)
     log_tail = _logpower_log_integral(q, lam, math.log(n))
     return log_s, log_tail
 
@@ -259,7 +298,7 @@ def log_partition(model: SpectrumModel, lam: float) -> tuple[float, float]:
         raise ValidationError(f"log_partition: lam={lam!r} must be positive")
     if model.kind == "explicit":
         levels = np.asarray(model.levels)
-        return float(logsumexp(-lam * levels)), 0.0
+        return _logsumexp(-lam * levels), 0.0
     if model.kind == "oscillator":
         n = model.truncation
         value = 0.0
@@ -303,7 +342,7 @@ def mean_energy(model: SpectrumModel, lam: float) -> float:
         raise ValidationError(f"mean_energy: lam={lam!r} must be positive")
     if model.kind == "explicit":
         levels = np.asarray(model.levels)
-        return float(softmax(-lam * levels) @ levels)
+        return float(_softmax(-lam * levels) @ levels)
     if model.kind == "oscillator":
         total = 0.0
         for f in model.frequencies:
@@ -316,9 +355,9 @@ def mean_energy(model: SpectrumModel, lam: float) -> float:
     ks = np.arange(1, n + 1, dtype=float)
     energies = np.log(ks) ** q
     expo = -lam * energies
-    log_den = float(logsumexp(expo))
+    log_den = _logsumexp(expo)
     with np.errstate(divide="ignore"):
-        log_num = float(logsumexp(expo + np.log(energies)))
+        log_num = _logsumexp(expo + np.log(energies))
     log_num_tail = _logpower_log_integral(q, lam, math.log(n), power_weight=q)
     log_den_tail = _logpower_log_integral(q, lam, math.log(n))
     worst = max(log_num_tail - log_num, log_den_tail - log_den)
@@ -351,12 +390,6 @@ class GibbsSolution:
     log_z: float
     tail_bound: float
     flag: str | None = None
-
-
-def _uniform_mean(model: SpectrumModel) -> float | None:
-    if model.kind != "explicit":
-        return None
-    return float(np.mean(model.levels))
 
 
 def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolution:
@@ -435,11 +468,24 @@ def max_entropy_with_tail(model: SpectrumModel, energy: float) -> tuple[float, f
         raise ValidationError(f"max_entropy: energy {energy!r} below the ground energy {ground!r}")
     if abs(energy - ground) <= GROUND_TOL * scale:
         return math.log(model.ground_multiplicity), 0.0
-    uniform = _uniform_mean(model)
-    if uniform is not None and energy >= uniform:
-        return math.log(len(model.levels)), 0.0
-    sol = solve_inverse_temperature(model, energy)
+    sol = entropy_maximizer(model, energy)
     return sol.f_value, sol.tail_bound
+
+
+def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
+    """The Gibbs solution whose F max_entropy reports for E above the ground.
+
+    For an explicit spectrum at E at or above the mean level the
+    constraint is inactive: the maximizer is the uniform state (lam = 0,
+    mean energy the mean level, F = ln Z = ln d).  Otherwise it is
+    solve_inverse_temperature(model, E).
+    """
+    if model.kind == "explicit":
+        uniform = float(np.mean(model.levels))
+        if energy >= uniform:
+            log_d = math.log(len(model.levels))
+            return GibbsSolution(lam=0.0, energy=uniform, f_value=log_d, log_z=log_d, tail_bound=0.0)
+    return solve_inverse_temperature(model, energy)
 
 
 def oscillator_entropy_cap(frequencies, energy: float) -> float:
@@ -478,7 +524,7 @@ def gibbs_state(
         lam = solve_inverse_temperature(model, energy).lam
     if lam <= 0:
         raise ValidationError(f"gibbs_state: lam={lam!r} must be positive")
-    probs = softmax(-lam * w)
+    probs = _softmax(-lam * w)
     return DensityMatrix((v * probs) @ v.conj().T)
 
 

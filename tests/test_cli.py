@@ -10,6 +10,7 @@ import entrobound.verify as verify_mod
 from entrobound import __version__
 from entrobound.cli import main
 from entrobound.ensembles import Ensemble
+from entrobound.gibbs import SpectrumModel, max_entropy, mean_energy
 from entrobound.operators import DensityMatrix
 from entrobound.serialization import encode_ensemble, encode_matrix
 
@@ -69,6 +70,48 @@ class TestGibbsCommand:
         expected = 0.5 + 1.0 / (math.e - 1.0)
         assert payload["energy"] == pytest.approx(expected, rel=1e-9)
         assert payload["lambda"] == 1.0
+
+    def test_unconstrained_energy_reports_the_uniform_state(self, capsys):
+        rc = main(["gibbs", "--levels", "0,1,2", "--energy", "1.7"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "inverse temperature: 0\n" in out
+        assert "mean energy: 1\n" in out
+        assert f"max entropy: {math.log(3.0):.12g} nats" in out
+        assert "flag: none" in out
+
+    @pytest.mark.parametrize("levels, energies", [
+        ((0.0, 1.0, 2.0), (0.05, 0.5, 0.9, 0.99999999999, 1.0, 1.7, 40.0)),
+        ((0.0, 0.7, 1.1, 3.0), (0.2, 1.0, 1.19999999999, 1.2, 2.5)),
+        ((0.0, 0.0, 1.0), (0.1, 1.0 / 3.0, 0.9)),
+    ])
+    def test_printed_max_entropy_is_max_entropy(self, capsys, levels, energies):
+        model = SpectrumModel.explicit(levels)
+        arg = ",".join(repr(x) for x in levels)
+        for energy in energies:
+            want = max_entropy(model, energy)
+            assert main(["gibbs", "--levels", arg, "--energy", repr(energy)]) == 0
+            assert f"max entropy: {want:.12g} nats" in capsys.readouterr().out
+            assert main(["gibbs", "--levels", arg, "--energy", repr(energy), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["max_entropy"] == want
+            # The printed mean energy is that of the reported state.
+            if payload["lambda"] == 0.0:
+                state_energy = float(np.mean(levels))
+            else:
+                state_energy = mean_energy(model, payload["lambda"])
+            if payload["flag"] is None:
+                assert abs(payload["energy"] - state_energy) <= 1e-9 * max(1.0, energy)
+            else:
+                assert payload["energy"] == state_energy
+            assert payload["energy"] <= energy + 1e-12
+
+    def test_clamped_solve_reports_the_state_mean_energy(self, capsys):
+        rc = main(["gibbs", "--oscillator", "1e-5", "--energy", "5e-5", "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flag"] == "lambda_cap"
+        assert payload["energy"] == mean_energy(SpectrumModel.oscillator(1e-5), payload["lambda"])
 
     def test_requires_exactly_one_target(self, capsys):
         assert main(["gibbs", "--levels", "0,1"]) == 1

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, logsumexp, softmax
+
+import entrobound.gibbs as gibbs_mod
 
 from entrobound.entropy import binary_entropy, relative_entropy, thermal_entropy, von_neumann_entropy
 from entrobound.errors import NumericalError, ValidationError
@@ -13,8 +15,11 @@ from entrobound.gibbs import (
     LAMBDA_CAP,
     LAMBDA_FLOOR,
     SpectrumModel,
+    _logsumexp,
+    _softmax,
     certified_growth_lower,
     entropy_growth_diagnostic,
+    entropy_maximizer,
     gibbs_family_distance,
     gibbs_state,
     log_partition,
@@ -224,6 +229,23 @@ class TestMaxEntropy:
         assert 0.0 <= tail < 1e-6 * value + 1e-12
 
 
+class TestEntropyMaximizer:
+    def test_uniform_state_at_or_above_the_mean_level(self):
+        model = SpectrumModel.explicit((0.0, 1.0, 2.0))
+        for energy in (1.0, 1.7, 50.0):
+            sol = entropy_maximizer(model, energy)
+            assert sol.lam == 0.0
+            assert sol.energy == 1.0
+            assert sol.f_value == sol.log_z == math.log(3.0) == max_entropy(model, energy)
+            assert sol.tail_bound == 0.0
+            assert sol.flag is None
+
+    def test_solves_below_the_mean_level(self):
+        model = SpectrumModel.explicit((0.0, 1.0, 2.0))
+        assert entropy_maximizer(model, 0.5) == solve_inverse_temperature(model, 0.5)
+        assert entropy_maximizer(SINGLE_MODE, 1.5) == solve_inverse_temperature(SINGLE_MODE, 1.5)
+
+
 class TestOscillatorCap:
     def test_frozen_single_mode(self):
         assert oscillator_entropy_cap((1.0,), 1.5) == pytest.approx(
@@ -364,3 +386,64 @@ class TestGrowthDiagnostics:
     def test_logpower_q_one_and_a_half_inconsistent(self):
         report = log_power_growth_diagnostic(1.5, lambdas=(0.5, 0.2, 0.1))
         assert report.verdict == "inconsistent"
+
+
+class TestScipyFreeKernels:
+    """The numpy logsumexp/softmax equal scipy.special's bit for bit."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(20261018)
+        vectors = []
+        for n in (2, 3, 7, 64, 1000):
+            vectors.append(rng.normal(size=n) * rng.uniform(0.1, 1e3))
+            tied = rng.normal(size=n)
+            tied[rng.choice(n, size=max(2, n // 4), replace=False)] = tied.max() + 1.0
+            vectors.append(tied)
+            vectors.append(np.round(rng.uniform(-5, 5, size=n)))
+        vectors.append(np.array([0.37]))
+        vectors.append(np.array([-1234.5]))
+        ks = np.arange(1, 4097, dtype=float)
+        for q in (1.5, 2.0, 3.0):
+            for lam in (1e-8, 0.01, 0.5, 1.0, 30.0):
+                vectors.append(-lam * np.log(ks) ** q)
+        return vectors
+
+    def test_logsumexp_bit_equal(self):
+        for a in self._inputs():
+            assert _logsumexp(a) == float(logsumexp(a))
+
+    def test_softmax_bit_equal(self):
+        for a in self._inputs():
+            assert np.array_equal(_softmax(a), softmax(a))
+
+    def test_logsumexp_with_minus_inf_term_bit_equal(self):
+        # mean_energy's numerator: ln(E_1) = ln(0) = -inf for the log-power ground.
+        ks = np.arange(1, 4097, dtype=float)
+        energies = np.log(ks) ** 3.0
+        with np.errstate(divide="ignore"):
+            a = -0.5 * energies + np.log(energies)
+        assert _logsumexp(a) == float(logsumexp(a))
+
+    def test_logsumexp_non_finite_inputs_match(self):
+        for a in ([-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 1.0]):
+            a = np.array(a)
+            got, want = _logsumexp(a), float(logsumexp(a))
+            assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+class TestLazyQuadrature:
+    def test_logpower_envelope_goes_through_module_quad(self, monkeypatch):
+        # perfbench's tracer wraps gibbs.quad to count log-power quadratures.
+        calls = []
+        real = gibbs_mod.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs_mod, "quad", counting)
+        value = max_entropy(SpectrumModel.log_power(3.0), 2.0)
+        assert calls
+        monkeypatch.undo()
+        assert max_entropy(SpectrumModel.log_power(3.0), 2.0) == value

@@ -9,22 +9,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .ensembles import Ensemble
 # mutual_information is not called here; perfbench/tracing.py wraps
 # channels.mutual_information, so the name stays importable from this module.
-from .entropy import holevo_chi, mutual_information, von_neumann_entropy  # noqa: F401
+from .entropy import holevo_chi, mutual_information, spectrum_entropy, von_neumann_entropy  # noqa: F401
 from .errors import ValidationError
-from .operators import DensityMatrix, SubsystemShape, purify
+from .operators import (
+    EIGENVALUE_CUTOFF,
+    POSITIVITY_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    SubsystemShape,
+    purify,
+)
 
 KRAUS_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators.
+
+    The channel keeps read-only copies of the Kraus operators it was
+    given, so ``choi_split``, computed from them once, cannot go stale.
+    """
 
     kraus: tuple
     name: str = "channel"
@@ -33,7 +45,6 @@ class Channel:
         if len(self.kraus) == 0:
             raise ValidationError("Channel: need at least one Kraus operator")
         mats = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        object.__setattr__(self, "kraus", mats)
         shape = mats[0].shape
         if len(shape) != 2:
             raise ValidationError("Channel: Kraus operators must be matrices")
@@ -42,7 +53,12 @@ class Channel:
                 raise ValidationError(
                     f"Channel: mixed Kraus shapes {k.shape} vs {shape}"
                 )
-        total = sum(k.conj().T @ k for k in mats)
+        # One read-only copy; the Kraus operators are views into it.
+        stack = np.array(mats)
+        stack.flags.writeable = False
+        object.__setattr__(self, "kraus", tuple(stack))
+        rows = stack.reshape(-1, shape[1])
+        total = rows.conj().T @ rows
         defect = np.abs(total - np.eye(shape[1])).max()
         if defect > KRAUS_TOL:
             raise ValidationError(
@@ -56,6 +72,37 @@ class Channel:
     @property
     def dim_out(self) -> int:
         return self.kraus[0].shape[0]
+
+    @cached_property
+    def choi_split(self) -> tuple[float, np.ndarray]:
+        """``(c_min, v)`` with Choi matrix C = c_min I + sum_c vec(v[c]) vec(v[c])^dag.
+
+        c_min is the smallest eigenvalue of C = sum_k vec(K_k) vec(K_k)^dag,
+        or 0 when it is at most EIGENVALUE_CUTOFF times the largest; the
+        read-only stack ``v`` holds the eigenvectors above that floor as
+        (dim_out, dim_in) operators scaled by sqrt(eigenvalue - c_min), so
+        N(rho) = c_min Tr(rho) I + sum_c v[c] rho v[c]^dag.  With fewer
+        Kraus operators than dim_out * dim_in, C is rank-deficient and
+        ``v`` is the minimal Kraus set, from the Kraus operators' Gram
+        matrix.  Computed on first use, then kept.
+        """
+        flat = np.stack(self.kraus).reshape(len(self.kraus), -1)
+        if flat.shape[0] < flat.shape[1]:
+            # C = F F^dag with F = flat^T; F e is an eigenvector of C for
+            # each eigenvector e of the Gram matrix F^dag F, with norm^2 mu.
+            mu, e = np.linalg.eigh(flat.conj() @ flat.T)
+            c_min = 0.0
+            keep = mu > EIGENVALUE_CUTOFF * mu[-1]
+            v = e[:, keep].T @ flat
+        else:
+            mu, u = np.linalg.eigh(flat.T @ flat.conj())
+            cut = EIGENVALUE_CUTOFF * mu[-1]
+            c_min = float(mu[0]) if mu[0] > cut else 0.0
+            keep = mu - c_min > cut
+            v = (u[:, keep] * np.sqrt(mu[keep] - c_min)).T
+        v = v.reshape(-1, self.dim_out, self.dim_in)
+        v.flags.writeable = False
+        return c_min, v
 
 
 def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
@@ -114,31 +161,64 @@ def stinespring(channel: Channel) -> np.ndarray:
 def channel_mi(channel: Channel, rho: DensityMatrix) -> float:
     """Mutual information I(B:R) between channel output B and an input reference R.
 
-    The input is purified with the reference R in the second slot.  The
-    channel's Stinespring output is pure over (B, E, R), so
-    I(B:R) = H(R) + H(B) - H(E), with H(R) = H(rho) and H(B) = H(N(rho)).
-    The environment state rho_E[k, l] = <K_l sqrt(rho), K_k sqrt(rho)> is
-    the Gram matrix of the Kraus-applied purification, and the joint
-    (B, R) state has the same nonzero spectrum.  H(E) is taken from the
-    smaller of the two: n_kraus x n_kraus, or (dim_out * dim_ref) squared
-    when the channel has more Kraus operators than that.
+    The input is purified as X = U sqrt(Lambda), with the reference R in
+    rho's eigenbasis, so rho_R = Lambda.  The channel's Stinespring output
+    is pure over (B, E, R), so I(B:R) = H(R) + H(B) - H(BR), where
+    H(R) = H(rho) and H(BR) = H(E).  With the Choi split
+    C = c_min I + V V^dag (``Channel.choi_split``) and blocks
+    B_c = V_c X, N(rho) = c_min I + sum_c B_c B_c^dag.  When c_min = 0,
+    H(E) comes from the k x k Gram matrix of the blocks.  Otherwise the
+    joint state is c_min (I_B x Lambda) + W W^dag, W holding the
+    vectorized blocks, and ``_floored_joint_spectrum`` takes its spectrum
+    from a matrix of size min(k, dim_out) * dim_in.  Which side runs is a
+    property of the channel; at d = 16 depolarizing has c_min > 0 and k = 1,
+    so no 256 x 256 matrix is decomposed after the split.
     """
     if rho.dim != channel.dim_in:
         raise ValidationError(
             f"channel_mi: state dim {rho.dim} != channel input dim {channel.dim_in}"
         )
-    psi_mat = purify(rho).vector.reshape(rho.dim, rho.dim)
-    # vs[k] = K_k psi_mat, one (dim_out, dim_ref) block per Kraus operator.
-    vs = np.stack([k @ psi_mat for k in channel.kraus])
-    n_kraus = vs.shape[0]
-    # N(rho) = sum_k vs[k] vs[k]^dag, from the blocks already formed.
-    per_output = vs.transpose(1, 0, 2).reshape(channel.dim_out, -1)
-    rho_b = DensityMatrix(per_output @ per_output.conj().T)
-    flat = vs.reshape(n_kraus, -1)
-    # The environment's Gram matrix, or the joint (B, R) state when that is smaller.
-    env = flat @ flat.conj().T if n_kraus <= flat.shape[1] else flat.T @ flat.conj()
-    return (von_neumann_entropy(rho) + von_neumann_entropy(rho_b)
-            - von_neumann_entropy(DensityMatrix(env)))
+    c_min, v = channel.choi_split
+    x = purify(rho).vector.reshape(rho.dim, rho.dim)
+    # blocks[c] = V_c X, one (dim_out, dim_ref) block per Choi vector.
+    blocks = v @ x
+    per_output = blocks.transpose(1, 0, 2).reshape(channel.dim_out, -1)
+    rho_b = DensityMatrix(per_output @ per_output.conj().T + c_min * np.eye(channel.dim_out))
+    if c_min == 0.0:
+        flat = blocks.reshape(len(blocks), -1)
+        h_env = von_neumann_entropy(DensityMatrix(flat @ flat.conj().T))
+    else:
+        lam = np.sum(np.abs(x) ** 2, axis=0)
+        h_env = spectrum_entropy(_floored_joint_spectrum(c_min, lam, blocks))
+    return von_neumann_entropy(rho) + von_neumann_entropy(rho_b) - h_env
+
+
+def _floored_joint_spectrum(c_min: float, lam: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Spectrum of J = c_min (I_B x diag(lam)) + sum_c vec(B_c) vec(B_c)^dag.
+
+    For each reference index r, Q_r R_r is the QR factorization of the
+    r-th columns of the blocks (a dim_out x k matrix); Q_r has
+    m = min(dim_out, k) orthonormal columns.  The span of the Q_r x |r>
+    holds every vec(B_c) and is invariant under the diagonal term, so it
+    is invariant under J, where J has coordinates
+    diag(c_min lam_r) + R R^dag (R stacks the R_r).  On its complement J
+    is the diagonal term alone: c_min lam_r, dim_out - m times for each r.
+    The result passes DensityMatrix's trace and positivity checks.
+    """
+    k, d_out, d_ref = blocks.shape
+    r = np.linalg.qr(blocks.transpose(2, 1, 0), mode="r")
+    m = r.shape[1]
+    w_hat = r.reshape(d_ref * m, k)
+    reduced = w_hat @ w_hat.conj().T + np.diag(c_min * np.repeat(lam, m))
+    spectrum = np.concatenate([np.linalg.eigvalsh(reduced),
+                               np.repeat(c_min * lam, d_out - m)])
+    tr = float(np.sum(spectrum))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"channel_mi: joint trace {tr!r} deviates from 1 beyond {TRACE_TOL}")
+    wmin = float(np.min(spectrum))
+    if wmin < -POSITIVITY_TOL:
+        raise ValidationError(f"channel_mi: joint state has negative eigenvalue {wmin:.3e}")
+    return spectrum
 
 
 def output_holevo(channel: Channel, ensemble: Ensemble) -> float:

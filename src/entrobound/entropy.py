@@ -57,12 +57,16 @@ def thermal_entropy(x: float) -> float:
     return float((x + 1.0) * math.log1p(x) - x * math.log(x))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """H(rho) = -Tr rho ln rho in nats, from the spectrum rho keeps."""
-    w = rho.spectrum
+def spectrum_entropy(w: np.ndarray) -> float:
+    """-sum w ln w in nats over the eigenvalues above the spectral cutoff."""
     cut = EIGENVALUE_CUTOFF * float(np.max(np.abs(w))) if w.size else 0.0
     w = w[w > cut]
     return float(_eta(w).sum())
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """H(rho) = -Tr rho ln rho in nats, from the spectrum rho keeps."""
+    return spectrum_entropy(rho.spectrum)
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -103,7 +103,8 @@ def test_criterion_1_exact_identities():
         levels = truncated_levels(model, count)
         logits = -sol.lam * (levels - levels.min())
         probs = np.exp(logits - np.log(np.sum(np.exp(logits))))
-        entropy = float(-np.sum(probs * np.log(probs, where=probs > 0)))
+        entropy = float(-np.sum(probs * np.log(probs, out=np.zeros_like(probs),
+                                                   where=probs > 0)))
         if abs(entropy - sol.f_value) > 1e-9:
             failures.append(f"Gibbs entropy mismatch for {model.kind}: "
                             f"{entropy} vs {sol.f_value}")

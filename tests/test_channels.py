@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entrobound.channels import (
+    CHANNEL_ZOO_SPECS,
     Channel,
     amplitude_damping_channel,
     apply_channel,
@@ -26,6 +27,26 @@ from entrobound.operators import DensityMatrix, SubsystemShape, partial_trace, t
 from conftest import random_density
 
 
+def random_kraus_channel(rng, d_in, d_out, n_kraus, name):
+    """Kraus blocks of a random isometry from C^d_in to C^d_out x C^n_kraus."""
+    g = rng.normal(size=(d_out * n_kraus, d_in)) + 1j * rng.normal(size=(d_out * n_kraus, d_in))
+    iso = np.linalg.qr(g)[0]
+    return Channel(tuple(iso.reshape(n_kraus, d_out, d_in)), name=name)
+
+
+def noisy_unitaries_channel(rng, d):
+    """Full depolarizing with weight 0.3, two random unitaries with 0.7 - 1e-6 and 1e-6.
+
+    Its Choi matrix is a floor 0.3 / d plus two vectors, one of them
+    barely above the floor.
+    """
+    unitaries = [np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+                 for _ in range(2)]
+    kraus = [math.sqrt(0.3) * k for k in depolarizing_channel(1.0, d).kraus]
+    kraus += [math.sqrt(w) * u for w, u in zip((0.7 - 1e-6, 1e-6), unitaries)]
+    return Channel(tuple(kraus), name="noisy-unitaries")
+
+
 class TestChannelContainer:
     def test_rejects_empty_kraus_list(self):
         with pytest.raises(ValidationError):
@@ -38,6 +59,43 @@ class TestChannelContainer:
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ValidationError):
             Channel((np.eye(2), np.eye(3)))
+
+    def test_kraus_operators_are_read_only_copies(self):
+        k = np.eye(2, dtype=complex)
+        ch = Channel((k,))
+        assert not ch.kraus[0].flags.writeable
+        with pytest.raises(ValueError):
+            ch.kraus[0][0, 0] = 0.0
+        assert k.flags.writeable
+        k[0, 0] = 0.0
+        assert ch.kraus[0][0, 0] == 1.0
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: make_channel("identity", 3),
+        lambda rng: make_channel("dephasing", 3, (0.3,)),
+        lambda rng: make_channel("depolarizing", 3, (0.25,)),
+        lambda rng: make_channel("attenuator", 3, (0.8,)),
+        lambda rng: random_kraus_channel(rng, 3, 3, 9, "full-rank"),
+        lambda rng: random_kraus_channel(rng, 2, 3, 6, "rect-full-rank"),
+        lambda rng: noisy_unitaries_channel(rng, 3),
+    ], ids=["identity", "dephasing", "depolarizing", "attenuator", "full-rank",
+            "rect-full-rank", "noisy-unitaries"])
+    def test_choi_split_rebuilds_the_choi_matrix(self, rng, make):
+        ch = make(rng)
+        flat = np.stack(ch.kraus).reshape(len(ch.kraus), -1)
+        choi = flat.T @ flat.conj()
+        c_min, v = ch.choi_split
+        vecs = v.reshape(len(v), -1)
+        assert c_min >= 0.0
+        assert not v.flags.writeable
+        assert np.abs(c_min * np.eye(len(choi)) + vecs.T @ vecs.conj() - choi).max() <= 1e-12
+        assert ch.choi_split is ch.choi_split
+
+    def test_choi_split_of_depolarizing_is_one_vector_over_a_floor(self):
+        c_min, v = depolarizing_channel(0.25, 4).choi_split
+        assert c_min == pytest.approx(0.25 / 4, abs=1e-14)
+        assert v.shape == (1, 4, 4)
+        assert np.allclose(v[0] @ v[0].conj().T, 0.75 * np.eye(4), atol=1e-12)
 
     def test_rectangular_channel_dims(self):
         # An isometry embedding a qubit into a qutrit is a valid channel.
@@ -194,20 +252,30 @@ class TestChannelMi:
         # Independent route: purify the input with numpy, lift the
         # Stinespring isometry V on the system half, and take
         # I(B:R) = H(B) + H(R) - H(BR) of the full (B, E, R) output vector.
-        # Rank-deficient inputs and depolarizing, with d**2 + 1 Kraus
-        # operators, reach both sides of the Gram/joint duality.
+        # The zoo has a Choi floor c_min > 0 (depolarizing, one Choi vector)
+        # and c_min = 0 (the rest); the random channels add c_min > 0 with
+        # several Choi vectors, and rectangular maps on both sides.
         def entropy(mat):
             w = np.linalg.eigvalsh(mat)
             w = w[w > 1e-300]
             return float(-np.sum(w * np.log(w)))
 
         for d in (2, 3, 4, 5):
+            inputs = []
             for rank in (d, d - 1, 1):
                 g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-                rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+                inputs.append(DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real))
+            inputs.append(DensityMatrix(np.eye(d) / d))
+            channels = channel_zoo(d) + [
+                random_kraus_channel(rng, d, d, d * d, "full-rank"),
+                noisy_unitaries_channel(rng, d),
+                random_kraus_channel(rng, d, d + 1, 2, "rect-low-rank"),
+                random_kraus_channel(rng, d, d + 1, d * (d + 1), "rect-full-rank"),
+            ]
+            for rho in inputs:
                 w, u = np.linalg.eigh(rho.matrix)
                 psi = u * np.sqrt(np.clip(w, 0.0, None))
-                for ch in channel_zoo(d):
+                for ch in channels:
                     n_env = len(ch.kraus)
                     out = (stinespring(ch) @ psi).reshape(ch.dim_out, n_env, d)
                     rho_br = np.einsum("ber,cet->brct", out, out.conj())
@@ -216,17 +284,13 @@ class TestChannelMi:
                                 + entropy(np.einsum("ber,bet->rt", out, out.conj()))
                                 - entropy(rho_br))
                     assert channel_mi(ch, rho) == pytest.approx(expected, abs=1e-10), \
-                        (ch.name, d, rank)
+                        (ch.name, d, np.linalg.matrix_rank(rho.matrix))
 
-    @pytest.mark.parametrize("kind,params,joint_sized", [
-        ("attenuator", (0.8,), 0), ("depolarizing", (0.25,), 1),
-    ])
-    def test_decomposes_at_most_one_joint_sized_matrix(self, rng, monkeypatch,
-                                                       kind, params, joint_sized):
-        # d = 16: attenuator has 16 Kraus operators, so H(E) comes from a
-        # 16x16 Gram matrix; depolarizing has 257 > 16 * 16, so from the
-        # 256x256 joint state, decomposed once.
-        ch = make_channel(kind, 16, params)
+    def test_no_joint_sized_decomposition_after_the_choi_split(self, rng, monkeypatch):
+        # d = 16: the first call on a fresh channel splits its Choi matrix;
+        # only depolarizing, with 257 > 16 * 16 Kraus operators, decomposes
+        # the 256x256 Choi matrix for it.  After the split nothing larger
+        # than the input dimension is decomposed.
         rho = random_density(rng, 16)
         sizes = []
         for name in ("eigh", "eigvalsh"):
@@ -237,10 +301,14 @@ class TestChannelMi:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
-        channel_mi(ch, rho)
-        assert sizes
-        assert sizes.count(256) == joint_sized
-        assert all(n in (16, 256) for n in sizes)
+        for kind, params in CHANNEL_ZOO_SPECS:
+            ch = make_channel(kind, 16, params)
+            sizes.clear()
+            channel_mi(ch, rho)
+            assert sizes.count(256) <= (1 if kind == "depolarizing" else 0), kind
+            sizes.clear()
+            channel_mi(ch, rho)
+            assert sizes and max(sizes) <= 16, kind
 
     def test_full_depolarizing_gives_zero(self, rng):
         rho = random_density(rng, 3)

@@ -41,7 +41,10 @@ def _cli(argv) -> str:
           "--energy", "1.5"]),
     _cli(["verify", "--family", "channel-mi", "--trials", "1", "--epsilons", "0.01",
           "--channel", "identity"]),
-], ids=["import", "import-cli", "gibbs", "bound", "verify-channel-mi"])
+    _cli(["verify", "--family", "channel-mi", "--channel", "depolarizing:0.25", "--trials",
+          "1", "--epsilons", "0.01"]),
+], ids=["import", "import-cli", "gibbs", "bound", "verify-channel-mi",
+        "verify-channel-mi-depolarizing"])
 def test_loads_no_scipy(code):
     assert _scipy_modules_after(code) == []
 

@@ -268,6 +268,20 @@ class TestConfigDigest:
                                 epsilons=(0.1, 0.25))
         assert config_digest(explicit) == config_digest(defaulted)
 
+    def test_sweep_resolves_its_wiring_once(self, monkeypatch):
+        calls = []
+        original = verify_mod.resolve_wiring
+
+        def counting(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(verify_mod, "resolve_wiring", counting)
+        report = run_sweep(small_config())
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert report.config_digest == config_digest(small_config())
+
 
 # config_digest of each default_sweep_suite() config, in suite order.
 # The digest hashes canonical JSON only, so it is the same on every
@@ -299,6 +313,7 @@ class TestSuite:
         family, pure, digest = SUITE_DIGESTS[index]
         assert (config.family, config.pure) == (family, pure)
         assert config_digest(config) == digest
+        assert config_digest(config, resolve_wiring(config)) == digest
 
     def test_default_suite_composition(self):
         suite = default_sweep_suite(trials=10)

@@ -286,6 +286,31 @@ class TestChannelMi:
                     assert channel_mi(ch, rho) == pytest.approx(expected, abs=1e-10), \
                         (ch.name, d, np.linalg.matrix_rank(rho.matrix))
 
+    @pytest.mark.parametrize("kind,params,joint_sized", [
+        ("attenuator", (0.8,), 0), ("depolarizing", (0.25,), 1),
+    ])
+    def test_decomposes_at_most_one_joint_sized_matrix(self, rng, monkeypatch,
+                                                       kind, params, joint_sized):
+        # d = 16, first call on a fresh channel: attenuator has 16 Kraus
+        # operators and no Choi floor, so H(E) comes from a 16x16 Gram
+        # matrix; depolarizing has 257 > 16 * 16, so its 256x256 Choi
+        # matrix is decomposed once, for the split, and nothing else is.
+        ch = make_channel(kind, 16, params)
+        rho = random_density(rng, 16)
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                sizes.append(np.shape(a)[0])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        channel_mi(ch, rho)
+        assert sizes
+        assert sizes.count(256) == joint_sized
+        assert all(n in (16, 256) for n in sizes)
+
     def test_no_joint_sized_decomposition_after_the_choi_split(self, rng, monkeypatch):
         # d = 16: the first call on a fresh channel splits its Choi matrix;
         # only depolarizing, with 257 > 16 * 16 Kraus operators, decomposes

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -294,20 +294,46 @@ CHANNEL_ZOO_SPECS = (
 )
 
 
+# A Channel is immutable (read-only Kraus stack and Choi split), so one
+# per (kind, dim, params) can serve every sweep in the process.
+CHANNEL_CACHE_SIZE = 8
+
+# kind -> (constructor taking (*params, dim), parameter names)
+_KINDS = {
+    "identity": (identity_channel, ()),
+    "dephasing": (dephasing_channel, ("p",)),
+    "depolarizing": (depolarizing_channel, ("p",)),
+    "amplitude-damping": (amplitude_damping_channel, ("gamma",)),
+    "attenuator": (attenuator_channel, ("transmissivity",)),
+}
+
+
 def make_channel(kind: str, dim: int, params=()) -> Channel:
-    """Construct a named channel; used by the CLI and the sweep harness."""
-    builders = {
-        "identity": lambda: identity_channel(dim),
-        "dephasing": lambda: dephasing_channel(params[0], dim),
-        "depolarizing": lambda: depolarizing_channel(params[0], dim),
-        "amplitude-damping": lambda: amplitude_damping_channel(params[0], dim),
-        "attenuator": lambda: attenuator_channel(params[0], dim),
-    }
-    if kind not in builders:
+    """The named channel; used by the CLI and the sweep harness.
+
+    Equal arguments return the same Channel object, built (and later
+    split) once per process per (kind, dim, params); the direct
+    constructors build a fresh channel on every call.  The kind and the
+    parameter count are checked before the lookup, and a failed build is
+    never cached.
+    """
+    if kind not in _KINDS:
         raise ValidationError(
-            f"unknown channel kind {kind!r}; available: {', '.join(sorted(builders))}"
+            f"unknown channel kind {kind!r}; available: {', '.join(sorted(_KINDS))}"
         )
-    return builders[kind]()
+    names = _KINDS[kind][1]
+    params = tuple(float(p) for p in params)
+    if len(params) != len(names):
+        shown = f" ({', '.join(names)})" if names else ""
+        raise ValidationError(
+            f"channel {kind!r} takes {len(names)} parameter(s){shown}, got {len(params)}"
+        )
+    return _shared_channel(kind, int(dim), params)
+
+
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+def _shared_channel(kind: str, dim: int, params: tuple) -> Channel:
+    return _KINDS[kind][0](*params, dim)
 
 
 def channel_zoo(dim: int) -> list[Channel]:

@@ -1,5 +1,7 @@
 """Kraus channels, Stinespring dilation, channel information quantities."""
 import math
+import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -45,6 +47,12 @@ def noisy_unitaries_channel(rng, d):
     kraus = [math.sqrt(0.3) * k for k in depolarizing_channel(1.0, d).kraus]
     kraus += [math.sqrt(w) * u for w, u in zip((0.7 - 1e-6, 1e-6), unitaries)]
     return Channel(tuple(kraus), name="noisy-unitaries")
+
+
+def fresh_channel(kind, dim, params=()):
+    """An unsplit copy of the channel make_channel shares per process."""
+    shared = make_channel(kind, dim, params)
+    return Channel(shared.kraus, name=shared.name)
 
 
 class TestChannelContainer:
@@ -173,6 +181,41 @@ class TestNamedChannels:
         with pytest.raises(ValidationError, match="dephasing"):
             make_channel("teleporter", 2)
 
+    @pytest.mark.parametrize("kind,params,count", [
+        ("dephasing", (), "1 parameter(s) (p), got 0"),
+        ("identity", (0.3,), "0 parameter(s), got 1"),
+        ("attenuator", (0.8, 0.1), "1 parameter(s) (transmissivity), got 2"),
+    ])
+    def test_make_channel_checks_the_parameter_count(self, kind, params, count):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=rf"channel '{kind}' takes {re.escape(count)}"):
+                make_channel(kind, 2, params)
+
+    def test_equal_arguments_share_one_channel(self):
+        ch = make_channel("depolarizing", 3, (0.25,))
+        assert make_channel("depolarizing", 3, [0.25]) is ch
+        assert make_channel("depolarizing", np.int64(3), (np.float64(0.25),)) is ch
+        assert make_channel("depolarizing", 3, (0.3,)) is not ch
+        assert make_channel("depolarizing", 4, (0.25,)) is not ch
+        assert make_channel("identity", 3) is make_channel("identity", 3, [])
+
+    def test_shared_channel_is_read_only(self, rng):
+        ch = make_channel("depolarizing", 3, (0.25,))
+        channel_mi(ch, random_density(rng, 3))
+        for k in ch.kraus:
+            with pytest.raises(ValueError):
+                k[0, 0] = 0.0
+        _, v = ch.choi_split
+        with pytest.raises(ValueError):
+            v[0, 0, 0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            ch.kraus = ()
+
+    def test_bad_parameter_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="outside"):
+                make_channel("depolarizing", 2, (1.5,))
+
     def test_zoo_has_five_members(self):
         zoo = channel_zoo(3)
         assert [ch.dim_in for ch in zoo] == [3] * 5
@@ -295,7 +338,7 @@ class TestChannelMi:
         # operators and no Choi floor, so H(E) comes from a 16x16 Gram
         # matrix; depolarizing has 257 > 16 * 16, so its 256x256 Choi
         # matrix is decomposed once, for the split, and nothing else is.
-        ch = make_channel(kind, 16, params)
+        ch = fresh_channel(kind, 16, params)
         rho = random_density(rng, 16)
         sizes = []
         for name in ("eigh", "eigvalsh"):
@@ -327,7 +370,7 @@ class TestChannelMi:
 
             monkeypatch.setattr(np.linalg, name, recording)
         for kind, params in CHANNEL_ZOO_SPECS:
-            ch = make_channel(kind, 16, params)
+            ch = fresh_channel(kind, 16, params)
             sizes.clear()
             channel_mi(ch, rho)
             assert sizes.count(256) <= (1 if kind == "depolarizing" else 0), kind

@@ -370,6 +370,18 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "ensemble_size 3 applies only to ensemble sweeps" in captured.err
 
+    @pytest.mark.parametrize("channel,message", [
+        ("dephasing", "error: channel 'dephasing' takes 1 parameter(s) (p), got 0\n"),
+        ("identity:0.3", "error: channel 'identity' takes 0 parameter(s), got 1\n"),
+    ], ids=["missing", "extra"])
+    def test_channel_parameter_count_exits_one(self, capsys, channel, message):
+        rc = main(["verify", "--family", "channel-mi", "--channel", channel, "--trials", "1",
+                   "--epsilons", "0.01"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_family_or_suite_required(self, capsys):
         assert main(["verify", "--trials", "2"]) == 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +84,8 @@ class Channel:
         N(rho) = c_min Tr(rho) I + sum_c v[c] rho v[c]^dag.  With fewer
         Kraus operators than dim_out * dim_in, C is rank-deficient and
         ``v`` is the minimal Kraus set, from the Kraus operators' Gram
-        matrix.  Computed on first use, then kept.
+        matrix.  Computed on first use, then kept; a constructor that knows
+        the split in closed form sets it instead (``depolarizing_channel``).
         """
         flat = np.stack(self.kraus).reshape(len(self.kraus), -1)
         if flat.shape[0] < flat.shape[1]:
@@ -244,7 +245,13 @@ def dephasing_channel(p: float, dim: int) -> Channel:
 
 
 def depolarizing_channel(p: float, dim: int) -> Channel:
-    """Mix toward the maximally mixed state with weight p."""
+    """Mix toward the maximally mixed state with weight p.
+
+    The Kraus operators are sqrt(1 - p) I and sqrt(p / dim) |i><j|, so the
+    Choi matrix is (1 - p) vec(I) vec(I)^dag + (p / dim) I: the channel
+    carries its ``choi_split`` in closed form and never decomposes the
+    dim^2 x dim^2 Choi matrix.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarizing_channel: p={p!r} outside [0, 1]")
     kraus = [math.sqrt(1.0 - p) * np.eye(dim, dtype=complex)]
@@ -254,7 +261,28 @@ def depolarizing_channel(p: float, dim: int) -> Channel:
             k = np.zeros((dim, dim), dtype=complex)
             k[i, j] = scale
             kraus.append(k)
-    return Channel(tuple(kraus), name=f"depolarizing({p})")
+    channel = Channel(tuple(kraus), name=f"depolarizing({p})")
+    if dim > 1:
+        object.__setattr__(channel, "choi_split", _depolarizing_split(p, dim))
+    return channel
+
+
+def _depolarizing_split(p: float, dim: int) -> tuple[float, np.ndarray]:
+    """``Channel.choi_split`` of the depolarizing channel.
+
+    The Choi eigenvalues are (1 - p) dim + p / dim on vec(I) / sqrt(dim)
+    and p / dim on its complement, which is empty when dim = 1 (hence
+    dim > 1); the floor and the cutoff follow the numerical rule.
+    """
+    top = (1.0 - p) * dim + p / dim
+    cut = EIGENVALUE_CUTOFF * top
+    c_min = p / dim if p / dim > cut else 0.0
+    if top - c_min > cut:
+        v = math.sqrt((top - c_min) / dim) * np.eye(dim, dtype=complex)[None]
+    else:
+        v = np.zeros((0, dim, dim), dtype=complex)
+    v.flags.writeable = False
+    return c_min, v
 
 
 def attenuator_channel(transmissivity: float, dim: int) -> Channel:
@@ -294,10 +322,6 @@ CHANNEL_ZOO_SPECS = (
 )
 
 
-# A Channel is immutable (read-only Kraus stack and Choi split), so one
-# per (kind, dim, params) can serve every sweep in the process.
-CHANNEL_CACHE_SIZE = 8
-
 # kind -> (constructor taking (*params, dim), parameter names)
 _KINDS = {
     "identity": (identity_channel, ()),
@@ -309,31 +333,22 @@ _KINDS = {
 
 
 def make_channel(kind: str, dim: int, params=()) -> Channel:
-    """The named channel; used by the CLI and the sweep harness.
+    """Construct a named channel; used by the CLI and the sweep harness.
 
-    Equal arguments return the same Channel object, built (and later
-    split) once per process per (kind, dim, params); the direct
-    constructors build a fresh channel on every call.  The kind and the
-    parameter count are checked before the lookup, and a failed build is
-    never cached.
+    The kind and its parameter count are checked before anything is built.
     """
     if kind not in _KINDS:
         raise ValidationError(
             f"unknown channel kind {kind!r}; available: {', '.join(sorted(_KINDS))}"
         )
-    names = _KINDS[kind][1]
-    params = tuple(float(p) for p in params)
+    build, names = _KINDS[kind]
+    params = tuple(params)
     if len(params) != len(names):
         shown = f" ({', '.join(names)})" if names else ""
         raise ValidationError(
             f"channel {kind!r} takes {len(names)} parameter(s){shown}, got {len(params)}"
         )
-    return _shared_channel(kind, int(dim), params)
-
-
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
-def _shared_channel(kind: str, dim: int, params: tuple) -> Channel:
-    return _KINDS[kind][0](*params, dim)
+    return build(*params, dim)
 
 
 def channel_zoo(dim: int) -> list[Channel]:

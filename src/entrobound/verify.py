@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .serialization import canonical_json, encode_spectrum, sha256_hex, write_cs
 RETRY_BUDGET = 10_000
 MARGIN_TOL = -1e-9
 ANCHOR_FRACTION = 0.75
-ANCHOR_CACHE_SIZE = 16
 BOUNDARY_FRACTION = 0.99
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.25, 0.5)
 DEFAULT_ENSEMBLE_SIZE = 4
@@ -374,12 +372,10 @@ def _diag_energy(matrix: np.ndarray, lifted: np.ndarray) -> float:
     return float(np.real(np.diagonal(matrix) @ lifted))
 
 
-@lru_cache(maxsize=ANCHOR_CACHE_SIZE)
-def _anchor_lambda(base_levels: tuple, energy: float) -> float:
+def _anchor_lambda(base_levels, energy: float) -> float:
     """Inverse temperature of the Gibbs state of the constraint levels at
     ground + ANCHOR_FRACTION (energy - ground): the mixed and boundary
-    samplers' anchor and the pure sampler's damping.  One solve per
-    (levels, energy) serves every sweep in the process.
+    samplers' anchor and the pure sampler's damping.
     """
     ground = float(min(base_levels))
     target = ground + ANCHOR_FRACTION * (energy - ground)
@@ -387,11 +383,8 @@ def _anchor_lambda(base_levels: tuple, energy: float) -> float:
 
 
 def _anchor_probabilities(lifted: np.ndarray, base_levels, energy: float) -> np.ndarray:
-    """Diagonal Gibbs-like anchor with constraint energy below the cap.
-
-    Fresh weights at ``_anchor_lambda``, one solve per (levels, energy).
-    """
-    lam = _anchor_lambda(tuple(base_levels), energy)
+    """Diagonal Gibbs-like anchor with constraint energy below the cap."""
+    lam = _anchor_lambda(base_levels, energy)
     weights = np.exp(-lam * (lifted - lifted.min()))
     return weights / weights.sum()
 
@@ -548,11 +541,6 @@ def _trial_rng(seed: int, eps_idx: int, trial: int):
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Execute a sweep; returns every row plus the violating subset.
-
-    The named channel (``make_channel``) and the sampler anchor
-    (``_anchor_lambda``) are shared per process: one anchor solve per
-    (levels, energy), one build and Choi split per channel.  Bounds are
-    computed afresh for every sweep.
 
     Raises NumericalError when a failing margin lies inside the bound's
     truncation tail, since neither verdict would then be trustworthy.

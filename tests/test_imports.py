@@ -43,10 +43,8 @@ def _cli(argv) -> str:
           "--channel", "identity"]),
     _cli(["verify", "--family", "channel-mi", "--channel", "depolarizing:0.25", "--trials",
           "1", "--epsilons", "0.01"]),
-    "\n".join([_cli(["verify", "--family", "channel-mi", "--channel", "depolarizing:0.25",
-                     "--trials", "1", "--epsilons", "0.01"])] * 2),
 ], ids=["import", "import-cli", "gibbs", "bound", "verify-channel-mi",
-        "verify-channel-mi-depolarizing", "verify-channel-mi-depolarizing-twice"])
+        "verify-channel-mi-depolarizing"])
 def test_loads_no_scipy(code):
     assert _scipy_modules_after(code) == []
 

@@ -25,12 +25,16 @@ from typing import Callable, Union
 
 from .entropy import thermal_entropy
 from .errors import ValidationError
-from .gibbs import SpectrumModel, max_entropy_with_tail
+from .gibbs import SpectrumModel, max_entropy
+
+# F is called through this name: perfbench/tracing.py wraps
+# bounds.max_entropy_with_tail, so the name stays in this module.
+max_entropy_with_tail = max_entropy
 
 EPSILON_MAX = 0.5
 
-# Either a spectrum, whose F is solved with its truncation tail, or a
-# closed-form cap E -> F such as partial(oscillator_entropy_cap, freqs).
+# Either a spectrum, whose F is max_entropy, or a closed-form cap E -> F
+# such as partial(oscillator_entropy_cap, freqs).
 Envelope = Union[SpectrumModel, Callable[[float], float]]
 
 
@@ -91,7 +95,6 @@ class BoundResult:
     energy: float | None
     f_argument: float | None
     f_value: float | None
-    f_tail: float
     pure: bool
 
 
@@ -116,24 +119,23 @@ def _effective_epsilon(epsilon: float, pure: bool, finite: bool = False) -> floa
 
 
 def _assemble(desc, epsilon, eps_eff, pure, energy, delta=None, f_argument=None,
-              f_value=None, f_tail=0.0) -> BoundResult:
+              f_value=None) -> BoundResult:
     """(c- + c+) delta F + (a + b) g(delta); delta None is the epsilon = 0 limit 0."""
     if delta is None:
-        return BoundResult(0.0, 0.0, 0.0, desc.name, epsilon, 0.0, energy, None, None, 0.0, pure)
-    scale = (desc.c_minus + desc.c_plus) * delta
-    main = scale * f_value
+        return BoundResult(0.0, 0.0, 0.0, desc.name, epsilon, 0.0, energy, None, None, pure)
+    main = (desc.c_minus + desc.c_plus) * delta * f_value
     additive = desc.g_multiplier * thermal_entropy(delta)
     return BoundResult(main + additive, main, additive, desc.name, epsilon, eps_eff, energy,
-                       f_argument, f_value, scale * f_tail, pure)
+                       f_argument, f_value, pure)
 
 
 def continuity_bound(preset, envelope: Envelope, epsilon: float, energy: float,
                      pure: bool = False) -> BoundResult:
     """Energy-constrained bound (c- + c+) sqrt(2e) F(E/e) + (a + b) g(sqrt(2e)).
 
-    ``envelope`` is a SpectrumModel (F solved, truncation tail carried)
-    or a callable E -> F with no tail.  ``epsilon = 0`` returns the
-    continuous extension 0.
+    ``envelope`` is a SpectrumModel (F from max_entropy, an upper bound)
+    or a callable E -> F.  ``epsilon = 0`` returns the continuous
+    extension 0.
     """
     desc = _descriptor(preset)
     eps_eff = _effective_epsilon(epsilon, pure)
@@ -143,11 +145,11 @@ def continuity_bound(preset, envelope: Envelope, epsilon: float, energy: float,
         return _assemble(desc, epsilon, eps_eff, pure, energy)
     f_arg = energy / eps_eff
     if isinstance(envelope, SpectrumModel):
-        f_value, f_tail = max_entropy_with_tail(envelope, f_arg)
+        f_value = max_entropy_with_tail(envelope, f_arg)
     else:
-        f_value, f_tail = envelope(f_arg), 0.0
+        f_value = envelope(f_arg)
     return _assemble(desc, epsilon, eps_eff, pure, energy,
-                     math.sqrt(2.0 * eps_eff), f_arg, f_value, f_tail)
+                     math.sqrt(2.0 * eps_eff), f_arg, f_value)
 
 
 def continuity_bound_finite(preset, dim_b: int, epsilon: float, pure: bool = False) -> BoundResult:

@@ -99,34 +99,31 @@ def _add_spectrum_args(parser, with_dim_b=False):
         group.add_argument("--dim-b", type=int, metavar="D",
                            help="finite-dimensional constrained part (no energy needed)")
     parser.add_argument("--truncation", type=int, default=None,
-                        help="series truncation of a solved oscillator or log-power spectrum")
+                        help="series truncation of a log-power spectrum")
 
 
 def _refuse_truncation(args, what: str):
     if args.truncation is not None:
         raise ValidationError(
-            f"--truncation applies only to a solved oscillator or log-power spectrum; "
-            f"{what} has no series to truncate")
+            f"--truncation applies only to a log-power spectrum; {what} has no series to truncate")
 
 
 def _model_from_args(args) -> SpectrumModel:
-    kw = {}
-    if args.truncation is not None:
-        kw["truncation"] = args.truncation
     if args.oscillator is not None:
-        return SpectrumModel.oscillator(args.oscillator, **kw)
-    if args.logpower is not None:
-        return SpectrumModel.log_power(args.logpower, **kw)
-    if args.spectrum is not None:
+        model = SpectrumModel.oscillator(args.oscillator)
+    elif args.logpower is not None:
+        model = SpectrumModel.log_power(args.logpower)
+    elif args.spectrum is not None:
         model = decode_spectrum(load_json(args.spectrum))
     elif args.levels is not None:
         model = SpectrumModel.explicit(args.levels)
     else:
         model = SpectrumModel.explicit(np.linalg.eigvalsh(load_hermitian(args.hamiltonian).matrix))
-    if model.kind == "explicit":
-        _refuse_truncation(args, "an explicit spectrum")
+    if args.truncation is None:
         return model
-    return dataclasses.replace(model, **kw)
+    if model.kind != "logpower":
+        _refuse_truncation(args, f"an {model.kind} spectrum")
+    return dataclasses.replace(model, truncation=args.truncation)
 
 
 def _entropic(value: float, bits: bool) -> float:
@@ -159,11 +156,10 @@ def _cmd_gibbs(args) -> int:
     else:
         if args.lam <= 0:
             raise ValidationError(f"--lam must be positive, got {args.lam}")
-        log_z, tail = log_partition(model, args.lam)
+        log_z = log_partition(model, args.lam)
         energy = mean_energy(model, args.lam)
         sol = GibbsSolution(lam=args.lam, energy=energy,
-                            f_value=args.lam * energy + log_z,
-                            log_z=log_z, tail_bound=tail, flag=None)
+                            f_value=args.lam * energy + log_z, log_z=log_z)
     unit = _unit(args.bits)
     payload = {
         "kind": model.kind,
@@ -171,7 +167,6 @@ def _cmd_gibbs(args) -> int:
         "energy": sol.energy,
         "max_entropy": _entropic(sol.f_value, args.bits),
         "log_partition": _entropic(sol.log_z, args.bits),
-        "tail_bound": _entropic(sol.tail_bound, args.bits),
         "unit": unit,
         "flag": sol.flag,
     }
@@ -181,7 +176,6 @@ def _cmd_gibbs(args) -> int:
         f"mean energy: {sol.energy:.12g}",
         f"max entropy: {_entropic(sol.f_value, args.bits):.12g} {unit}",
         f"log partition: {_entropic(sol.log_z, args.bits):.12g} {unit}",
-        f"truncation tail: {_entropic(sol.tail_bound, args.bits):.3g} {unit}",
         f"flag: {sol.flag or 'none'}",
     ])
     return 0
@@ -206,7 +200,7 @@ def _cmd_bound(args) -> int:
         result = continuity_bound(args.preset, envelope, args.epsilon, args.energy, pure=args.pure)
     unit = _unit(args.bits)
     payload = dict(jsonable(result))
-    for key in ("value", "main_term", "additive_term", "f_value", "f_tail"):
+    for key in ("value", "main_term", "additive_term", "f_value"):
         if isinstance(payload.get(key), float):
             payload[key] = _entropic(payload[key], args.bits)
     payload["unit"] = unit
@@ -223,7 +217,6 @@ def _cmd_bound(args) -> int:
         f"main term: {_entropic(result.main_term, args.bits):.12g} {unit}",
         f"additive term: {_entropic(result.additive_term, args.bits):.12g} {unit}",
         f"bound: {_entropic(result.value, args.bits):.12g} {unit}",
-        f"truncation tail on bound: {_entropic(result.f_tail, args.bits):.3g} {unit}",
     ])
     _emit(args, payload, lines)
     return 0

@@ -97,6 +97,23 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return max(value, 0.0)
 
 
+def relative_entropy_of_coherence(rho: DensityMatrix, levels) -> float:
+    """C_r(rho) = H(Delta rho) - H(rho) = H(rho || Delta rho), in nats.
+
+    Delta pinches rho onto the eigenspaces of diag(levels): it keeps the
+    entries between basis states of equal level.  C_r is the
+    relative-entropy distance to the states that commute with
+    diag(levels), a closed convex set holding its Gibbs family.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if levels.shape != (rho.dim,):
+        raise ValidationError(
+            f"relative_entropy_of_coherence: {levels.size} levels for dim {rho.dim}"
+        )
+    pinched = np.where(levels[:, None] == levels[None, :], rho.matrix, 0.0)
+    return von_neumann_entropy(DensityMatrix(pinched)) - von_neumann_entropy(rho)
+
+
 def _bipartite_entropies(rho_ab: DensityMatrix, shape, what: str) -> tuple[float, float, float]:
     """(H(A), H(B), H(AB)) of a two-factor state."""
     sh = shape if isinstance(shape, SubsystemShape) else SubsystemShape(tuple(shape))

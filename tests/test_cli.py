@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +18,14 @@ from entrobound.operators import DensityMatrix
 from entrobound.serialization import encode_ensemble, encode_matrix
 
 LN2 = math.log(2.0)
+README = Path(__file__).resolve().parent.parent / "README.md"
+# Every README code block that runs `entrobound gibbs` or `entrobound
+# bound`, as its lines: the command, then exactly what it prints.
+README_EXAMPLES = [
+    lines for lines in (block.splitlines() for block in
+                        re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.S | re.M))
+    if lines and lines[0].startswith(("$ entrobound gibbs ", "$ entrobound bound "))
+]
 
 
 def write_counterexample_ensembles(tmp_path):
@@ -202,6 +213,13 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "--closed-form needs --oscillator" in captured.err
 
+    def test_solved_oscillator_is_exact_far_past_any_series_cut(self, capsys):
+        # E / eps_eff = 4e4: F = g(39999.5), not a sum cut at 4096 terms.
+        rc = main(["bound", "--oscillator", "1.0", "--preset", "entropy", "--epsilon", "0.01",
+                   "--energy", "2", "--pure"])
+        assert rc == 0
+        assert "bound: 0.172067883352 nats" in capsys.readouterr().out.splitlines()
+
     def test_dim_b_refuses_energy(self, capsys):
         rc = main(["bound", "--preset", "entropy", "--dim-b", "8", "--epsilon", "0.1",
                    "--energy", "1.0"])
@@ -209,6 +227,17 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--dim-b takes no --energy" in captured.err
+
+
+class TestReadmeExamples:
+    def test_readme_shows_both_commands(self):
+        commands = {lines[0].split()[2] for lines in README_EXAMPLES}
+        assert commands == {"gibbs", "bound"}
+
+    @pytest.mark.parametrize("lines", README_EXAMPLES, ids=lambda lines: lines[0][13:])
+    def test_printed_lines_equal_the_block(self, capsys, lines):
+        assert main(shlex.split(lines[0])[2:]) == 0
+        assert capsys.readouterr().out.splitlines() == lines[1:]
 
 
 class TestTruncationOption:
@@ -220,41 +249,51 @@ class TestTruncationOption:
         ham.write_text(json.dumps(encode_matrix(np.diag([0.0, 1.0]))))
         spec = tmp_path / "explicit.json"
         spec.write_text(json.dumps({"kind": "explicit", "levels": [0.0, 1.0]}))
-        return {"HAM": str(ham), "SPEC": str(spec)}
+        osc = tmp_path / "oscillator.json"
+        osc.write_text(json.dumps({"kind": "oscillator", "frequencies": [1.0]}))
+        return {"HAM": str(ham), "SPEC": str(spec), "OSC": str(osc)}
 
     @pytest.mark.parametrize("envelope,what", [
         (["--levels", "0,1", "--energy", "0.3"], "an explicit spectrum"),
         (["--hamiltonian", "HAM", "--energy", "0.3"], "an explicit spectrum"),
         (["--spectrum", "SPEC", "--energy", "0.3"], "an explicit spectrum"),
+        (["--oscillator", "1", "--energy", "1.5"], "an oscillator spectrum"),
+        (["--spectrum", "OSC", "--energy", "1.5"], "an oscillator spectrum"),
         (["--dim-b", "4"], "the finite --dim-b form"),
         (["--oscillator", "1", "--closed-form", "--energy", "1.5"], "the --closed-form cap"),
-    ], ids=["levels", "hamiltonian", "explicit-spectrum-file", "dim-b", "closed-form"])
+    ], ids=["levels", "hamiltonian", "explicit-spectrum-file", "oscillator",
+            "oscillator-spectrum-file", "dim-b", "closed-form"])
     def test_bound_refuses_truncation_without_a_series(self, capsys, files, envelope, what):
         rc = main(self.BOUND + [files.get(arg, arg) for arg in envelope])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"--truncation applies only to a solved oscillator or log-power spectrum; {what}" \
-            in captured.err
+        assert f"--truncation applies only to a log-power spectrum; {what}" in captured.err
 
     @pytest.mark.parametrize("envelope", [["--levels", "0,1"], ["--hamiltonian", "HAM"],
-                                          ["--spectrum", "SPEC"]],
-                             ids=["levels", "hamiltonian", "explicit-spectrum-file"])
-    def test_gibbs_refuses_truncation_of_explicit_levels(self, capsys, files, envelope):
-        rc = main(["gibbs", "--energy", "0.25", "--truncation", "5"]
+                                          ["--spectrum", "SPEC"], ["--oscillator", "1"],
+                                          ["--spectrum", "OSC"]],
+                             ids=["levels", "hamiltonian", "explicit-spectrum-file",
+                                  "oscillator", "oscillator-spectrum-file"])
+    def test_gibbs_refuses_truncation_without_a_series(self, capsys, files, envelope):
+        rc = main(["gibbs", "--energy", "0.75", "--truncation", "5"]
                   + [files.get(arg, arg) for arg in envelope])
         assert rc == 1
-        assert "--truncation applies only" in capsys.readouterr().err
+        assert "--truncation applies only to a log-power spectrum" in capsys.readouterr().err
 
-    def test_truncation_reaches_an_oscillator_spectrum_file(self, tmp_path, capsys):
-        path = tmp_path / "osc.json"
-        path.write_text(json.dumps({"kind": "oscillator", "frequencies": [1.0]}))
-        args = ["gibbs", "--spectrum", str(path), "--lam", "0.05", "--json"]
-        assert main(args) == 0
-        full = json.loads(capsys.readouterr().out)
-        assert main(args + ["--truncation", "5"]) == 0
-        truncated = json.loads(capsys.readouterr().out)
-        assert truncated["tail_bound"] > full["tail_bound"]
+    def test_logpower_spectrum_file_keeps_its_truncation(self, tmp_path, capsys):
+        path = tmp_path / "logpower.json"
+        path.write_text(json.dumps({"kind": "logpower", "q": 2.5, "truncation": 100}))
+
+        def log_z(*spectrum):
+            assert main(["gibbs", *spectrum, "--lam", "0.5", "--json"]) == 0
+            return json.loads(capsys.readouterr().out)["log_partition"]
+
+        from_file = log_z("--spectrum", str(path))
+        assert from_file == log_z("--logpower", "2.5", "--truncation", "100")
+        assert from_file != log_z("--logpower", "2.5")
+        # --truncation overrides the file's.
+        assert log_z("--spectrum", str(path), "--truncation", "4096") == log_z("--logpower", "2.5")
 
 
 class TestVerifyCommand:
@@ -266,7 +305,7 @@ class TestVerifyCommand:
         rc = main(self.BASE + ["--out", str(out)])
         assert rc == 0
         text = out.read_text()
-        assert text.startswith("# entrobound sweep format 1\n# config-sha256: ")
+        assert text.startswith("# entrobound sweep format 2\n# config-sha256: ")
         assert text.count("\n") == 3 + 6
         stdout = capsys.readouterr().out
         assert "entropy: 6 rows, 0 violations" in stdout
@@ -275,7 +314,7 @@ class TestVerifyCommand:
         rc = main(self.BASE + ["--out", "-"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert out.startswith("# entrobound sweep format 1")
+        assert out.startswith("# entrobound sweep format 2")
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -370,6 +409,14 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "ensemble_size 3 applies only to ensemble sweeps" in captured.err
 
+    def test_family_without_a_channel_refuses_one(self, capsys):
+        rc = main(self.BASE + ["--channel", "depolarizing:0.25"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "channel applies only to channel sweeps; entropy sweeps have no channel" \
+            in captured.err
+
     @pytest.mark.parametrize("channel,message", [
         ("dephasing", "error: channel 'dephasing' takes 1 parameter(s) (p), got 0\n"),
         ("identity:0.3", "error: channel 'identity' takes 0 parameter(s), got 1\n"),
@@ -387,7 +434,7 @@ class TestVerifyCommand:
 
     def test_violation_exits_two(self, tmp_path, monkeypatch, capsys):
         def broken_bound(preset, model, eps, energy, pure=False):
-            return SimpleNamespace(value=0.0, f_tail=0.0)
+            return SimpleNamespace(value=0.0)
 
         monkeypatch.setattr(verify_mod, "continuity_bound", broken_bound)
         rc = main(self.BASE + ["--out", str(tmp_path / "v.csv")])

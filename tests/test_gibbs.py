@@ -26,7 +26,6 @@ from entrobound.gibbs import (
     log_power_comparison_integral,
     log_power_growth_diagnostic,
     max_entropy,
-    max_entropy_with_tail,
     mean_energy,
     oscillator_entropy_cap,
     solve_inverse_temperature,
@@ -51,6 +50,12 @@ class TestSpectrumModel:
     def test_oscillator_rejects_nonpositive_frequency(self):
         with pytest.raises(ValidationError):
             SpectrumModel.oscillator((1.0, 0.0))
+
+    @pytest.mark.parametrize("kind,spectrum", [("explicit", {"levels": (0.0, 1.0)}),
+                                               ("oscillator", {"frequencies": (1.0,)})])
+    def test_truncation_is_log_power_only(self, kind, spectrum):
+        with pytest.raises(ValidationError, match="truncation applies only to a log-power"):
+            SpectrumModel(kind=kind, truncation=4096, **spectrum)
 
     def test_logpower_requires_q_above_one(self):
         with pytest.raises(ValidationError):
@@ -86,27 +91,31 @@ class TestPartitionFunction:
         model = SpectrumModel.explicit(levels)
         lam = 0.7
         expected = math.log(sum(math.exp(-lam * e) for e in levels))
-        value, tail = log_partition(model, lam)
-        assert value == pytest.approx(expected, abs=1e-12)
-        assert tail == 0.0
+        assert log_partition(model, lam) == pytest.approx(expected, abs=1e-12)
 
     def test_oscillator_matches_geometric_closed_form(self):
-        # ln Z = -ln(2 sinh(lam f / 2)) per mode, with the truncation
-        # remainder covered by the reported tail.
+        # ln Z = -ln(2 sinh(lam f / 2)) per mode, summed to infinity.
         model = SpectrumModel.oscillator((1.0, 2.0))
-        lam = 0.9
-        exact = -sum(math.log(2 * math.sinh(lam * f / 2)) for f in (1.0, 2.0))
-        value, tail = log_partition(model, lam)
-        assert abs(value - exact) <= tail + 1e-12
-        assert tail < 1e-300
+        for lam in (0.9, 1e-3, 1e-6):
+            exact = -sum(math.log(2 * math.sinh(lam * f / 2)) for f in (1.0, 2.0))
+            assert log_partition(model, lam) == pytest.approx(exact, rel=1e-12)
 
-    def test_logpower_matches_direct_sum(self):
-        model = SpectrumModel.log_power(2.0, truncation=200)
-        lam = 1.3
-        expected = math.log(sum(math.exp(-lam * math.log(k) ** 2) for k in range(1, 201)))
-        value, tail = log_partition(model, lam)
-        assert value == pytest.approx(expected, abs=1e-12)
-        assert tail > 0.0
+    def test_logpower_bounds_the_series_from_above(self):
+        # ln Z_N + log1p(T_N / S_N) lies between the series summed far
+        # past N and S_N plus the remainder integral
+        # T_N = integral_N^inf exp(-lam ln(x)^2) dx
+        #     = e^{1/(4 lam)} sqrt(pi / lam) / 2 erfc(sqrt(lam) (ln N - 1/(2 lam))).
+        n = 200
+        model = SpectrumModel.log_power(2.0, truncation=n)
+        logs = np.log(np.arange(1, 2_000_001, dtype=float))
+        for lam in (1.3, 0.3, 0.05):
+            terms = np.exp(-lam * logs**2)
+            s_n = math.fsum(terms[:n])
+            t_n = (math.exp(0.25 / lam) * math.sqrt(math.pi / lam) / 2
+                   * erfc(math.sqrt(lam) * (math.log(n) - 0.5 / lam)))
+            value = log_partition(model, lam)
+            assert value >= math.log(math.fsum(terms)) - 1e-12
+            assert value <= math.log(s_n + t_n) + 1e-12
 
     def test_rejects_nonpositive_lam(self):
         with pytest.raises(ValidationError):
@@ -132,8 +141,8 @@ class TestMeanEnergy:
         for model in (TWO_LEVEL, SINGLE_MODE, SpectrumModel.log_power(3.0)):
             for lam in (0.4, 1.1):
                 h = 1e-6 * lam
-                up, _ = log_partition(model, lam + h)
-                down, _ = log_partition(model, lam - h)
+                up = log_partition(model, lam + h)
+                down = log_partition(model, lam - h)
                 fd = -(up - down) / (2 * h)
                 got = mean_energy(model, lam)
                 assert abs(got - fd) <= 1e-5 * max(1.0, abs(got))
@@ -162,13 +171,12 @@ class TestInverseTemperatureSolve:
             model = SpectrumModel.explicit(levels)
             energy = rng.uniform(levels[0] + 0.05, float(np.mean(levels)) - 0.05)
             sol = solve_inverse_temperature(model, energy)
-            log_z, _ = log_partition(model, sol.lam)
+            log_z = log_partition(model, sol.lam)
             assert abs(sol.f_value - (sol.lam * energy + log_z)) <= 1e-9
 
     def test_oscillator_frozen_oracle(self):
         sol = solve_inverse_temperature(SINGLE_MODE, 1.5)
-        assert abs(sol.f_value - 2 * math.log(2)) <= 1e-8
-        assert sol.tail_bound < 1e-8
+        assert abs(sol.f_value - 2 * math.log(2)) <= 1e-12
 
     def test_lambda_floor_flag_at_high_energy(self):
         sol = solve_inverse_temperature(TWO_LEVEL, 0.5)
@@ -223,10 +231,14 @@ class TestMaxEntropy:
             rhs = 2 * max_entropy(SINGLE_MODE, energy)
             assert abs(lhs - rhs) <= 1e-8
 
-    def test_tail_reported_for_logpower(self):
-        value, tail = max_entropy_with_tail(SpectrumModel.log_power(3.0), 2.0)
-        assert value > 0.0
-        assert 0.0 <= tail < 1e-6 * value + 1e-12
+    def test_oscillator_exact_far_past_any_truncation(self):
+        # F(E) = g(E - 1/2), with g(x) = log1p(x) + x log1p(1/x) free of
+        # the cancellation that costs thermal_entropy's direct form about
+        # 1e-10 relative at x = 1e6.
+        for energy in (1.5, 200.0, 4e4, 1e6):
+            x = energy - 0.5
+            exact = math.log1p(x) + x * math.log1p(1.0 / x)
+            assert max_entropy(SINGLE_MODE, energy) == pytest.approx(exact, rel=1e-12)
 
 
 class TestEntropyMaximizer:
@@ -237,7 +249,6 @@ class TestEntropyMaximizer:
             assert sol.lam == 0.0
             assert sol.energy == 1.0
             assert sol.f_value == sol.log_z == math.log(3.0) == max_entropy(model, energy)
-            assert sol.tail_bound == 0.0
             assert sol.flag is None
 
     def test_solves_below_the_mean_level(self):
@@ -347,11 +358,9 @@ class TestLogPowerIntegral:
         # The summand decreases in k, so Sigma in [I, I + 1].
         model = SpectrumModel.log_power(3.0)
         for lam in (0.5, 0.2, 0.1):
-            log_z, tail = log_partition(model, lam)
-            series = math.exp(log_z)
+            series = math.exp(log_partition(model, lam))
             integral = log_power_comparison_integral(3.0, lam)
             assert integral - 1e-9 <= series <= integral + 1.0 + 1e-9
-            assert tail <= 1e-10
 
 
 class TestGrowthDiagnostics:
@@ -385,6 +394,13 @@ class TestGrowthDiagnostics:
 
     def test_logpower_q_one_and_a_half_inconsistent(self):
         report = log_power_growth_diagnostic(1.5, lambdas=(0.5, 0.2, 0.1))
+        assert report.verdict == "inconsistent"
+
+    def test_short_truncation_switches_to_the_integral(self):
+        # At lam = 0.01 a 100-term series is hopeless (log_partition
+        # raises); the diagnostic reads the comparison integral instead.
+        report = log_power_growth_diagnostic(1.5, lambdas=(0.1, 0.01), truncation=100)
+        assert report.methods == ("integral", "integral")
         assert report.verdict == "inconsistent"
 
 

@@ -102,17 +102,26 @@ class TestSpectrumCodec:
             SpectrumModel.explicit((0.0, 1.0, 1.5)),
             SpectrumModel.oscillator((1.0, 2.5)),
             SpectrumModel.log_power(2.0),
+            SpectrumModel.log_power(2.5, truncation=100),
         ],
     )
     def test_round_trip(self, model):
-        back = decode_spectrum(encode_spectrum(model))
-        assert back.kind == model.kind
-        if model.kind == "explicit":
-            assert back.levels == model.levels
-        elif model.kind == "oscillator":
-            assert back.frequencies == model.frequencies
-        else:
-            assert back.q == model.q
+        assert decode_spectrum(json.loads(json.dumps(encode_spectrum(model)))) == model
+
+    def test_logpower_truncation_decoded(self):
+        model = decode_spectrum({"kind": "logpower", "q": 2.5, "truncation": 100})
+        assert model.truncation == 100
+        assert decode_spectrum({"kind": "logpower", "q": 2.5}).truncation == 4096
+
+    @pytest.mark.parametrize("obj,match", [
+        ({"kind": "oscillator", "frequencies": [1.0], "truncation": 100}, "log-power"),
+        ({"kind": "explicit", "levels": [0.0, 1.0], "truncation": 100}, "log-power"),
+        ({"kind": "logpower", "q": 2.5, "truncation": 100.5}, "integer"),
+        ({"kind": "logpower", "q": 2.5, "truncation": 1}, ">= 2"),
+    ])
+    def test_truncation_refused_where_it_does_not_apply(self, obj, match):
+        with pytest.raises(ValidationError, match=match):
+            decode_spectrum(obj)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError, match="kind"):

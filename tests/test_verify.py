@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import entrobound.verify as verify_mod
+from entrobound.bounds import continuity_bound
 from entrobound.cli import build_parser
-from entrobound.errors import NumericalError, ValidationError
-from entrobound.gibbs import SpectrumModel, solve_inverse_temperature
+from entrobound.entropy import relative_entropy, relative_entropy_of_coherence
+from entrobound.errors import ValidationError
+from entrobound.gibbs import SpectrumModel, gibbs_state, solve_inverse_temperature
+from entrobound.operators import DensityMatrix, HermitianOperator
 from entrobound.verify import (
     LAA_QUANTITIES,
     SWEEP_FAMILIES,
@@ -85,6 +88,12 @@ class TestSweepConfig:
     def test_state_families_refuse_ensemble_size(self, family):
         with pytest.raises(ValidationError, match="ensemble_size 3 applies only to ensemble"):
             SweepConfig(family=family, energy=2.0, seed=1, ensemble_size=3)
+
+    @pytest.mark.parametrize("family", [f for f in SWEEP_FAMILIES
+                                        if verify_mod.QUANTITIES[f].channel is None])
+    def test_families_without_a_channel_refuse_one(self, family):
+        with pytest.raises(ValidationError, match=f"{family} sweeps have no channel"):
+            SweepConfig(family=family, energy=2.0, seed=1, channel=("depolarizing", (0.25,)))
 
 
 class TestResolveWiring:
@@ -233,13 +242,13 @@ class TestRunSweep:
         stream = io.StringIO()
         report.to_csv(stream)
         lines = stream.getvalue().splitlines()
-        assert lines[0] == "# entrobound sweep format 1"
+        assert lines[0] == "# entrobound sweep format 2"
         assert lines[1] == f"# config-sha256: {report.config_digest}"
         assert lines[2].startswith("trial,epsilon,E,")
 
     def test_violations_are_reported_not_swallowed(self, monkeypatch):
         def broken_bound(preset, model, eps, energy, pure=False):
-            return SimpleNamespace(value=0.0, f_tail=0.0)
+            return SimpleNamespace(value=0.0)
 
         # An equal sweep run first must not hand its bounds to the next.
         assert run_sweep(small_config()).violations == ()
@@ -272,14 +281,6 @@ class TestRunSweep:
             csvs.append(buf.getvalue())
             assert sizes and max(sizes) <= d_in
         assert csvs[0] == csvs[1]
-
-    def test_tail_flip_aborts_loudly(self, monkeypatch):
-        def tail_heavy_bound(preset, model, eps, energy, pure=False):
-            return SimpleNamespace(value=0.0, f_tail=1.0)
-
-        monkeypatch.setattr(verify_mod, "continuity_bound", tail_heavy_bound)
-        with pytest.raises(NumericalError, match="truncation tail"):
-            run_sweep(small_config())
 
 
 class TestConfigDigest:
@@ -358,6 +359,60 @@ class TestSuite:
         reports = run_suite(configs, on_report=seen.append)
         assert len(reports) == 2
         assert seen == reports
+
+
+class TestCoherenceQuantity:
+    """gibbs-red is the relative entropy of coherence, a genuine `ree` quantity.
+
+    The two witnesses below broke the `ree` bound when gibbs-red was the
+    distance to the (non-convex) Gibbs family itself.
+    """
+
+    @staticmethod
+    def build(levels):
+        return verify_mod.QUANTITIES["gibbs-red"].build((len(levels),), levels, None)
+
+    def test_continuity_witness_on_a_long_ladder(self):
+        # rho = |0><0|, sigma = (1 - eps)|0><0| + eps |E/eps><E/eps|: trace
+        # distance eps, energies 0 and E.
+        levels = tuple(float(k) for k in range(600))
+        energy, eps = 10.0, 0.02
+        rho = np.zeros(600)
+        rho[0] = 1.0
+        sigma = rho * (1.0 - eps)
+        sigma[round(energy / eps)] = eps
+        f = self.build(levels)
+        diff = abs(f(DensityMatrix(np.diag(rho))) - f(DensityMatrix(np.diag(sigma))))
+        bound = continuity_bound("ree", SpectrumModel.explicit(levels), eps, energy).value
+        assert bound == pytest.approx(1.820059381682795, rel=1e-12)
+        assert diff <= bound
+
+    def test_mixing_witness_of_two_gibbs_states(self):
+        # The ree preset has b = 0: f(mix) may not exceed the average.
+        levels = (0.0, 1.0, 2.0)
+        ham = HermitianOperator(np.diag(levels))
+        cold, hot = gibbs_state(ham, lam=5.0), gibbs_state(ham, lam=0.01)
+        p = 0.1
+        f = self.build(levels)
+        mix = DensityMatrix(p * hot.matrix + (1 - p) * cold.matrix)
+        assert p * f(hot) + (1 - p) * f(cold) - f(mix) >= -1e-12
+
+    def test_equals_relative_entropy_to_the_pinched_state(self, rng):
+        # Levels with a degenerate pair: the pinching keeps that 2 x 2 block.
+        levels = (0.0, 1.0, 1.0, 2.5)
+        f = self.build(levels)
+        projectors = [np.diag([float(x == e) for x in levels]) for e in sorted(set(levels))]
+        for _ in range(5):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+            pinched = DensityMatrix(sum(p @ rho.matrix @ p for p in projectors))
+            want = relative_entropy(rho, pinched)
+            assert f(rho) == pytest.approx(want, abs=1e-10)
+            assert relative_entropy_of_coherence(rho, levels) == f(rho)
+
+    def test_rejects_a_level_count_other_than_the_dim(self):
+        with pytest.raises(ValidationError, match="3 levels for dim 2"):
+            relative_entropy_of_coherence(DensityMatrix(np.eye(2) / 2), (0.0, 1.0, 2.0))
 
 
 class TestLaaCheck:

@@ -47,13 +47,18 @@ def thermal_entropy(x: float) -> float:
     """g(x) = (x+1) ln(x+1) - x ln x for x >= 0, in nats.
 
     This is the entropy of a single bosonic mode with mean occupation x;
-    it also equals (1+x) h2(x / (1+x)).
+    it also equals (1+x) h2(x / (1+x)).  From x = 1 on it is evaluated as
+    log1p(x) + x log1p(1/x): the two terms of the defining form cancel at
+    large x (1.3e-10 relative at x = 1e6).  Below 1 both of those terms
+    are nonnegative, and 1/x could overflow, so the defining form serves.
     """
     if x < -1e-12:
         raise ValidationError(f"thermal_entropy: x={x!r} negative")
     x = max(x, 0.0)
     if x == 0.0:
         return 0.0
+    if x >= 1.0:
+        return math.log1p(x) + x * math.log1p(1.0 / x)
     return float((x + 1.0) * math.log1p(x) - x * math.log(x))
 
 

@@ -3,7 +3,10 @@
 A spectrum model describes the eigenvalues of a (possibly unbounded)
 Hamiltonian.  The maximum entropy among states with mean energy <= E is
 attained by the Gibbs state at the inverse temperature lam(E) solving
-the mean-energy equation, and equals ``lam * E + ln Z(lam)``.
+the mean-energy equation, and equals ``lam * E + ln Z(lam)``.  Where
+ln Z is exact (explicit levels, oscillator modes) the mean energy comes
+with its variance, which is -d mean / d lam, and the solve is a
+safeguarded Newton iteration; a log-power solve bisects.
 
 ln Z is exact for explicit levels and oscillator modes.  A log-power
 series is summed to its truncation and its remainder bounded by the
@@ -333,25 +336,35 @@ def _log1mexp(log_x: float) -> float:
     return math.log1p(-math.exp(log_x))
 
 
-def mean_energy(model: SpectrumModel, lam: float) -> float:
+def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
     """Mean energy of the Gibbs distribution at inverse temperature lam.
 
-    Decreasing in lam.  Truncated models fail loudly when the omitted
-    tail could shift the value by more than TAIL_FRACTION_LIMIT
-    relatively.
+    Decreasing in lam.  With ``variance=True`` returns (mean, Var_lam(H)),
+    for explicit and oscillator spectra only: Var is -d mean / d lam,
+    the slope the Newton solve steps along.  Truncated models fail loudly
+    when the omitted tail could shift the value by more than
+    TAIL_FRACTION_LIMIT relatively.
     """
     if lam <= 0:
         raise ValidationError(f"mean_energy: lam={lam!r} must be positive")
     if model.kind == "explicit":
         levels = np.asarray(model.levels)
-        return float(_softmax(-lam * levels) @ levels)
+        probs = _softmax(-lam * levels)
+        mean = float(probs @ levels)
+        if variance:
+            return mean, float(probs @ (levels - mean) ** 2)
+        return mean
     if model.kind == "oscillator":
         total = 0.0
+        spread = 0.0
         for f in model.frequencies:
             x = lam * f
             occupation = 1.0 / math.expm1(x) if x < 700.0 else 0.0
             total += f * (occupation + 0.5)
-        return total
+            spread += f * f * occupation * (occupation + 1.0)
+        return (total, spread) if variance else total
+    if variance:
+        raise ValidationError("mean_energy: the variance needs an exact ln Z, not a log-power series")
     n = model.truncation
     q = model.q
     ks = np.arange(1, n + 1, dtype=float)
@@ -394,10 +407,14 @@ class GibbsSolution:
 
 
 def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolution:
-    """Solve mean_energy(lam) = energy by bracketed bisection.
+    """Solve mean_energy(lam) = energy for lam.
 
-    lam is clamped to [LAMBDA_FLOOR, LAMBDA_CAP]; a clamped solve is
-    flagged rather than silently accepted.  Terminates when
+    Explicit and oscillator spectra, whose ln Z is exact, take a
+    safeguarded Newton iteration (_newton_solve); log-power spectra
+    bisect (_bisect_solve), because their mean energy is refused, and
+    so has no slope, wherever the truncation cannot carry it.  lam is
+    clamped to [LAMBDA_FLOOR, LAMBDA_CAP]; a clamped solve is flagged
+    rather than silently accepted.  Both terminate when
     |mean_energy(lam) - energy| <= SOLVE_RTOL * max(1, |energy|).
     """
     ground = model.ground_energy
@@ -418,32 +435,118 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
             flag=flag,
         )
 
-    def probe(lam: float) -> float:
-        # A truncated series whose omitted tail dominates cannot be
-        # evaluated, but its true mean energy lies beyond the last
-        # retained level, so for bracketing it counts as +inf.
-        try:
-            return mean_energy(model, lam)
-        except NumericalError:
-            return math.inf
-
-    if probe(LAMBDA_FLOOR) <= energy:
+    floor_mean = _probe(model, LAMBDA_FLOOR)
+    if floor_mean <= energy:
         return build(LAMBDA_FLOOR, "lambda_floor")
     if mean_energy(model, LAMBDA_CAP) >= energy:
         return build(LAMBDA_CAP, "lambda_cap")
+    if model.kind == "logpower":
+        return build(_bisect_solve(model, energy, tol, floor_mean == math.inf), None)
+    return build(_newton_solve(model, energy, tol), None)
+
+
+def _probe(model: SpectrumModel, lam: float) -> float:
+    """mean_energy, or +inf where a truncated series refuses.
+
+    A series whose omitted tail dominates cannot be evaluated, but its
+    true mean energy lies beyond the last retained level, so for
+    bracketing it counts as +inf.
+    """
+    try:
+        return mean_energy(model, lam)
+    except NumericalError:
+        return math.inf
+
+
+def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> float:
+    """Safeguarded Newton ("rtsafe") for lam with mean_energy(lam) = energy.
+
+    Solves g = ln((mean - E0) / (energy - E0)) = 0 in u = ln lam, where
+    dg/du = -lam Var / (mean - E0).  For oscillators that form is close
+    to linear at both ends: the excess mean - E0 goes as modes / lam for
+    small lam and as exp(-gap lam) for large lam.  An explicit excess
+    tends to the mean level minus E0 as lam -> 0, where g flattens in u,
+    so explicit levels try the same step in lam first, lam (1 + du).
+
+    The bracket starts at [LAMBDA_FLOOR, LAMBDA_CAP], which the caller
+    has checked, and shrinks with every probe; a step that leaves it, or
+    an excess or variance that underflows, takes the bracket's geometric
+    midpoint instead.  The start ln(1 + modes gap / x) / gap, with
+    x = energy - E0 and gap the lowest excitation, solves a single mode
+    exactly and tends to modes / x at high energy.  The probe that meets
+    the tolerance returns its own Newton step when that stays in the
+    bracket.
+    """
+    ground = model.ground_energy
+    excess_target = energy - ground
+    if excess_target <= 0.0:
+        # The caller found energy > mean_energy(LAMBDA_CAP) >= E0, so only
+        # rounding lands here, and the cap's mean is within it of E.
+        return LAMBDA_CAP
+    if model.kind == "oscillator":
+        modes, gap = len(model.frequencies), min(model.frequencies)
+    else:
+        modes, gap = 1, next(x - ground for x in model.levels if x > ground)
+    lo, hi = LAMBDA_FLOOR, LAMBDA_CAP
+    lam = min(max(math.log1p(modes * gap / excess_target) / gap, lo), hi)
+    for _ in range(200):
+        mean, var = mean_energy(model, lam, variance=True)
+        converged = abs(mean - energy) <= tol
+        if mean > energy:
+            lo = lam
+        else:
+            hi = lam
+        excess = mean - ground
+        steps = []
+        if excess > 0.0 and var > 0.0:
+            du = math.log(excess / excess_target) * excess / (lam * var)
+            if model.kind == "explicit":
+                steps.append(lam * (1.0 + du))
+            steps.append(lam * math.exp(min(du, 700.0)))
+        step = next((s for s in steps if lo < s < hi), None)
+        if converged:
+            # The last probe's own Newton step is free and squares the
+            # error left within the tolerance, so lam does not depend on
+            # where in the tolerance the iteration happened to land.
+            return lam if step is None else step
+        lam = math.sqrt(lo * hi) if step is None else step
+    raise NumericalError(
+        f"solve_inverse_temperature: Newton iteration did not reach |mean - E| <= {tol!r} "
+        f"for the {model.kind} spectrum at E={energy!r}"
+    )
+
+
+def _bisect_solve(model: SpectrumModel, energy: float, tol: float, floor_refused: bool) -> float:
+    """Bracketed bisection for lam with _probe(lam) = energy (log-power spectra).
+
+    The bracket doubles up from lam = 1, then halves for at most 500
+    probes.  When it closes on a lam whose probe the truncation refused,
+    the solution lies where the series cannot be summed, and the error
+    says to raise the truncation.
+    """
     lo, hi = LAMBDA_FLOOR, 1.0
-    while hi < LAMBDA_CAP and probe(hi) > energy:
-        lo = hi
+    lo_refused = floor_refused
+    while hi < LAMBDA_CAP:
+        value = _probe(model, hi)
+        if value <= energy:
+            break
+        lo, lo_refused = hi, value == math.inf
         hi = min(hi * 2.0, LAMBDA_CAP)
     for _ in range(500):
         mid = 0.5 * (lo + hi)
-        value = probe(mid)
+        value = _probe(model, mid)
         if abs(value - energy) <= tol:
-            return build(mid, None)
+            return mid
         if value > energy:
-            lo = mid
+            lo, lo_refused = mid, value == math.inf
         else:
             hi = mid
+    if lo_refused:
+        raise NumericalError(
+            f"solve_inverse_temperature: logpower(q={model.q}) summed to truncation "
+            f"N={model.truncation} cannot reach mean energy E={energy!r}; the solution lies "
+            f"where the omitted tail is too large to sum. Raise the truncation (--truncation)"
+        )
     raise NumericalError(
         f"solve_inverse_temperature: bisection did not reach |mean - E| <= {tol!r}"
     )

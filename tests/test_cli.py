@@ -220,6 +220,22 @@ class TestBoundCommand:
         assert rc == 0
         assert "bound: 0.172067883352 nats" in capsys.readouterr().out.splitlines()
 
+    def test_logpower_refusal_says_to_raise_the_truncation(self, capsys):
+        # E / eps = 37.5 needs the series past its 4096 default terms.
+        rc = main(["bound", "--logpower", "2.5", "--preset", "entropy", "--epsilon", "0.08",
+                   "--energy", "3"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q=2.5" in captured.err and "N=4096" in captured.err
+        assert "E=37.5" in captured.err and "--truncation" in captured.err
+
+    def test_raised_truncation_reaches_the_logpower_bound(self, capsys):
+        rc = main(["bound", "--logpower", "2.5", "--preset", "entropy", "--epsilon", "0.08",
+                   "--energy", "3", "--truncation", "100000"])
+        assert rc == 0
+        assert "bound: 3.11462544519 nats" in capsys.readouterr().out.splitlines()
+
     def test_dim_b_refuses_energy(self, capsys):
         rc = main(["bound", "--preset", "entropy", "--dim-b", "8", "--epsilon", "0.1",
                    "--energy", "1.0"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, logsumexp, softmax
 
 import entrobound.gibbs as gibbs_mod
@@ -14,6 +16,7 @@ from entrobound.gibbs import (
     DEFAULT_LAMBDA_GRID,
     LAMBDA_CAP,
     LAMBDA_FLOOR,
+    SOLVE_RTOL,
     SpectrumModel,
     _logsumexp,
     _softmax,
@@ -195,6 +198,144 @@ class TestInverseTemperatureSolve:
     def test_logpower_solve(self):
         sol = solve_inverse_temperature(SpectrumModel.log_power(3.0), 2.0)
         assert abs(mean_energy(SpectrumModel.log_power(3.0), sol.lam) - 2.0) <= 1e-8
+
+
+@st.composite
+def explicit_spectra(draw):
+    """2-32 levels with gaps in [0.05, 5], sometimes a doubly degenerate ground."""
+    ground = draw(st.floats(-10.0, 10.0))
+    gaps = draw(st.lists(st.floats(0.05, 5.0), min_size=1, max_size=30))
+    levels = [ground] * (2 if draw(st.booleans()) else 1)
+    for gap in gaps:
+        levels.append(levels[-1] + gap)
+    return SpectrumModel.explicit(levels)
+
+
+oscillator_spectra = st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4).map(
+    SpectrumModel.oscillator)
+# Position of E strictly between the ground and the mean level.
+fractions = st.floats(1e-3, 1.0 - 1e-3)
+
+
+def mean_level(model):
+    return float(np.mean(model.levels))
+
+
+def assert_solves(model, energy):
+    sol = solve_inverse_temperature(model, energy)
+    assert sol.flag is None
+    assert abs(mean_energy(model, sol.lam) - energy) <= SOLVE_RTOL * max(1.0, abs(energy))
+    assert sol.f_value == sol.lam * energy + log_partition(model, sol.lam)
+    return sol
+
+
+def counting_probes(monkeypatch):
+    """Count calls of gibbs.mean_energy, the name every solver probe goes through."""
+    calls = []
+    real = gibbs_mod.mean_energy
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gibbs_mod, "mean_energy", counting)
+    return calls
+
+
+class TestNewtonSolve:
+    @given(model=explicit_spectra(), t=fractions)
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_meets_the_tolerance(self, model, t):
+        ground = model.ground_energy
+        assert_solves(model, ground + t * (mean_level(model) - ground))
+
+    @given(model=oscillator_spectra, excess=st.floats(1e-3, 1e3))
+    @settings(max_examples=150, deadline=None)
+    def test_oscillator_meets_the_tolerance(self, model, excess):
+        assert_solves(model, model.ground_energy + excess)
+
+    @given(model=explicit_spectra(), t=fractions, shift=st.floats(-20.0, 20.0))
+    @settings(max_examples=150, deadline=None)
+    def test_shifting_levels_and_energy_together_keeps_lam_and_f(self, model, t, shift):
+        # F's own shift invariance: lam and lam E + ln Z do not see a
+        # constant added to H and to E alike.
+        ground = model.ground_energy
+        energy = ground + t * (mean_level(model) - ground)
+        sol = assert_solves(model, energy)
+        moved = SpectrumModel.explicit(tuple(x + shift for x in model.levels))
+        other = assert_solves(moved, energy + shift)
+        assert other.lam == pytest.approx(sol.lam, rel=1e-9, abs=0.0)
+        assert other.f_value == pytest.approx(sol.f_value, rel=1e-12, abs=1e-12)
+
+    def test_two_levels_at_a_quarter_give_ln_3(self):
+        assert solve_inverse_temperature(TWO_LEVEL, 0.25).lam == pytest.approx(
+            math.log(3.0), rel=1e-12, abs=0.0)
+
+    @given(omega=st.floats(0.1, 10.0), occupation=st.floats(1e-4, 1e4))
+    @settings(max_examples=100, deadline=None)
+    def test_one_mode_gives_the_bose_einstein_lam(self, omega, occupation):
+        energy = omega * (occupation + 0.5)
+        sol = solve_inverse_temperature(SpectrumModel.oscillator((omega,)), energy)
+        assert sol.lam == pytest.approx(math.log1p(1.0 / occupation) / omega, rel=1e-12, abs=0.0)
+
+    @given(model=st.one_of(explicit_spectra(), oscillator_spectra))
+    @settings(max_examples=80, deadline=None)
+    def test_clamp_flags(self, model):
+        # At the ground the cap is reported; at or above the mean level
+        # (explicit) or far above any probe (oscillator) the floor is.
+        ground = model.ground_energy
+        top = mean_level(model) if model.kind == "explicit" else 1e9 * len(model.frequencies)
+        for energy, lam, flag in ((ground, LAMBDA_CAP, "lambda_cap"),
+                                  (top, LAMBDA_FLOOR, "lambda_floor")):
+            sol = solve_inverse_temperature(model, energy)
+            assert (sol.lam, sol.flag) == (lam, flag)
+            assert sol.f_value == lam * energy + log_partition(model, lam)
+
+    def test_probes_go_through_module_mean_energy(self, monkeypatch):
+        # perfbench's tracer counts gibbs.mean_energy calls per solve.
+        calls = counting_probes(monkeypatch)
+        solve_inverse_temperature(SpectrumModel.oscillator((1.0, 1.5, 2.0)), 4.0)
+        assert len(calls) > 2
+
+    def test_probe_count_guard(self, monkeypatch):
+        # Bisection took 30-50 probes per solve on this grid; the Newton
+        # iteration must not drift back there.
+        calls = counting_probes(monkeypatch)
+        models = (SpectrumModel.explicit(range(16)), SpectrumModel.oscillator((1.0,)),
+                  SpectrumModel.oscillator((1.0, 1.5, 2.0)))
+        worst = {}
+        for model in models:
+            for energy in np.geomspace(0.02, 60.0, 60):
+                if energy <= model.ground_energy:
+                    continue
+                calls.clear()
+                solve_inverse_temperature(model, float(energy))
+                worst[model] = max(worst.get(model, 0), len(calls))
+        assert len(worst) == 3
+        assert max(worst.values()) <= 12, worst
+
+
+class TestLogPowerBisection:
+    # lam and F printed by the bisection before the Newton solve was added
+    # for exact spectra; log-power keeps that bisection bit for bit.
+    @pytest.mark.parametrize("q,energy,lam,f_value", [
+        (2.5, 3.0, "0x1.1fc2c503853b8p-2", "0x1.376524d90d8ecp+1"),
+        (2.5, 10.0, "0x1.f538ee6b1a864p-4", "0x1.d463f5483d5e1p+1"),
+        (3.0, 2.0, "0x1.316cddf08e8d0p-2", "0x1.edecc3fe6b21cp+0"),
+        (3.0, 25.0, "0x1.77e2f4b753852p-5", "0x1.0270dd591666bp+2"),
+    ])
+    def test_pinned_bit_for_bit(self, q, energy, lam, f_value):
+        sol = solve_inverse_temperature(SpectrumModel.log_power(q), energy)
+        assert (sol.lam.hex(), sol.f_value.hex(), sol.flag) == (lam, f_value, None)
+
+    def test_refusal_names_the_truncation_to_raise(self):
+        # E / eps = 37.5 needs terms past N = 4096 that the series cannot sum.
+        with pytest.raises(NumericalError, match=r"q=2\.5\).*N=4096.*E=37\.5.*--truncation"):
+            solve_inverse_temperature(SpectrumModel.log_power(2.5), 37.5)
+
+    def test_variance_needs_an_exact_log_partition(self):
+        with pytest.raises(ValidationError, match="exact ln Z"):
+            mean_energy(SpectrumModel.log_power(3.0), 1.0, variance=True)
 
 
 class TestMaxEntropy:

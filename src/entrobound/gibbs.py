@@ -12,7 +12,9 @@ ln Z is exact for explicit levels and oscillator modes.  A log-power
 series is summed to its truncation and its remainder bounded by the
 comparison integral, so its ln Z is an upper bound, and so is every F
 taken from it: F(E) <= lam E + ln Z(lam) at every lam > 0 (the Gibbs
-variational bound), however far the solve converged.
+variational bound), however far the solve converged.  The integral is
+an adaptive Gauss-Kronrod rule in numpy (``quad``), so no spectrum
+imports scipy.
 """
 from __future__ import annotations
 
@@ -182,15 +184,55 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e)
 
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call.
+# QUADPACK qk15: the Kronrod nodes in (0, 1] with the centre last (their
+# negatives complete the rule), the Kronrod weights, and the weights of
+# the 7-point Gauss rule on every other node.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_GK_NODES = np.concatenate((np.negative(_XGK), _XGK[-2::-1]))
+_GK_KRONROD = np.concatenate((_WGK, _WGK[-2::-1]))
+_GK_GAUSS = np.zeros(15)
+_GK_GAUSS[1::2] = _WG + _WG[-2::-1]
+# Columns: the Kronrod estimate and its difference from the Gauss estimate.
+_GK_WEIGHTS = np.stack((_GK_KRONROD, _GK_KRONROD - _GK_GAUSS), axis=1)
+# Initial panel edges past the lower limit, a doubling grid 1/4, 1/2, ..., 512.
+_GK_GRID = 0.25 * 2.0 ** np.arange(12)
+QUAD_RTOL = 1e-13
+QUAD_PANEL_BUDGET = 2000
 
-    Only log-power spectra integrate, so the other spectra (and the CLI's
-    start-up) never pay for importing scipy.
+
+def quad(func, a: float, b: float, args=()) -> float:
+    """Integral of func(t, *args) over [a, b] by adaptive Gauss-Kronrod 7/15.
+
+    func takes an array of nodes and returns the integrand at each.  The
+    panels start on a doubling grid a, a + 1/4, a + 1/2, a + 1, ..., a + 512
+    below b, and every panel whose Kronrod and Gauss estimates differ by
+    more than QUAD_RTOL of the running total is halved.  NumericalError
+    when that needs more than QUAD_PANEL_BUDGET panels in all.
     """
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(func, a, b, **kwargs)
+    edges = np.concatenate(([a], a + _GK_GRID[a + _GK_GRID < b], [b]))
+    lo, hi = edges[:-1], edges[1:]
+    done = 0.0
+    spent = 0
+    while lo.size:
+        spent += lo.size
+        if spent > QUAD_PANEL_BUDGET:
+            raise NumericalError(f"quad: {QUAD_PANEL_BUDGET} panels did not reach rtol {QUAD_RTOL}")
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        kronrod, diff = (func(mid[:, None] + half[:, None] * _GK_NODES, *args) @ _GK_WEIGHTS).T * half
+        rough = np.abs(diff) > QUAD_RTOL * abs(done + kronrod.sum())
+        done += kronrod[~rough].sum()
+        lo, hi = np.concatenate((lo[rough], mid[rough])), np.concatenate((mid[rough], hi[rough]))
+    return float(done)
 
 
 # ---------------------------------------------------------------------------
@@ -226,33 +268,34 @@ def _logpower_log_integral(q: float, lam: float, u0: float, power_weight: float 
     center_pow = center**q
     log_w_center = power_weight * math.log(center) if power_weight else 0.0
 
-    def beyond_linear(x):
-        # expm1(q*log1p(x)) - q*x without cancellation for tiny x.
-        if abs(x) < 1e-5:
-            return q * (q - 1.0) * x * x * (0.5 + (q - 2.0) * x / 6.0)
-        return math.expm1(q * math.log1p(x)) - q * x
-
     def integrand(t, sign):
         # phi(center + d) - top = d*grad_c - lam*center^q*beyond_linear(d/center),
         # exact in exact arithmetic; avoids subtracting two huge phi values.
+        # beyond_linear(x) = expm1(q*log1p(x)) - q*x, by its series for tiny x.
         d = sign * scale * t
         x = d / center
-        if x <= -1.0:
-            return 0.0
-        expo = d * grad_c - lam * center_pow * beyond_linear(x)
-        if power_weight:
-            expo += power_weight * math.log1p(x)
-        return math.exp(min(expo, 700.0))
+        with np.errstate(all="ignore"):
+            log1p_x = np.log1p(x)
+            beyond_linear = np.where(
+                np.abs(x) < 1e-5,
+                q * (q - 1.0) * x * x * (0.5 + (q - 2.0) * x / 6.0),
+                np.expm1(q * log1p_x) - q * x,
+            )
+            expo = d * grad_c - lam * center_pow * beyond_linear
+            if power_weight:
+                expo += power_weight * log1p_x
+            return np.where(x <= -1.0, 0.0, np.exp(np.minimum(expo, 700.0)))
 
     # Mass beyond 1e3 width units is below exp(-1e3) of the peak in the
     # gradient-limited case and far below that in the curvature-limited
     # case, so a finite window loses nothing and keeps quad stable.
     t_max = 1e3
-    total, _ = quad(integrand, 0.0, t_max, args=(1.0,), limit=200)
-    if center > u0:
-        t_left = min((center - u0) / scale, t_max)
-        part, _ = quad(integrand, 0.0, t_left, args=(-1.0,), limit=200)
-        total += part
+    try:
+        total = quad(integrand, 0.0, t_max, args=(1.0,))
+        if center > u0:
+            total += quad(integrand, 0.0, min((center - u0) / scale, t_max), args=(-1.0,))
+    except NumericalError as exc:
+        raise NumericalError(f"logpower integral: {exc} at q={q}, lam={lam!r}, u0={u0!r}") from None
     if total <= 0.0:
         raise NumericalError(
             f"logpower integral: quadrature collapsed at q={q}, lam={lam!r}, u0={u0!r}"
@@ -519,10 +562,11 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> float:
 def _bisect_solve(model: SpectrumModel, energy: float, tol: float, floor_refused: bool) -> float:
     """Bracketed bisection for lam with _probe(lam) = energy (log-power spectra).
 
-    The bracket doubles up from lam = 1, then halves for at most 500
-    probes.  When it closes on a lam whose probe the truncation refused,
-    the solution lies where the series cannot be summed, and the error
-    says to raise the truncation.
+    The bracket doubles up from lam = 1, then halves until its midpoint
+    is no longer strictly inside it, that is, until lo and hi are
+    adjacent doubles.  When it closes on a lam whose probe the truncation
+    refused, the solution lies where the series cannot be summed, and the
+    error says to raise the truncation.
     """
     lo, hi = LAMBDA_FLOOR, 1.0
     lo_refused = floor_refused
@@ -532,8 +576,8 @@ def _bisect_solve(model: SpectrumModel, energy: float, tol: float, floor_refused
             break
         lo, lo_refused = hi, value == math.inf
         hi = min(hi * 2.0, LAMBDA_CAP)
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         value = _probe(model, mid)
         if abs(value - energy) <= tol:
             return mid
@@ -541,6 +585,7 @@ def _bisect_solve(model: SpectrumModel, energy: float, tol: float, floor_refused
             lo, lo_refused = mid, value == math.inf
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     if lo_refused:
         raise NumericalError(
             f"solve_inverse_temperature: logpower(q={model.q}) summed to truncation "

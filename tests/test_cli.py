@@ -230,6 +230,12 @@ class TestBoundCommand:
         assert "q=2.5" in captured.err and "N=4096" in captured.err
         assert "E=37.5" in captured.err and "--truncation" in captured.err
 
+    def test_logpower_bound(self, capsys):
+        rc = main(["bound", "--logpower", "3", "--preset", "entropy", "--epsilon", "0.08",
+                   "--energy", "1"])
+        assert rc == 0
+        assert "bound: 2.16332994401 nats" in capsys.readouterr().out.splitlines()
+
     def test_raised_truncation_reaches_the_logpower_bound(self, capsys):
         rc = main(["bound", "--logpower", "2.5", "--preset", "entropy", "--epsilon", "0.08",
                    "--energy", "3", "--truncation", "100000"])

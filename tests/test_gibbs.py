@@ -333,6 +333,21 @@ class TestLogPowerBisection:
         with pytest.raises(NumericalError, match=r"q=2\.5\).*N=4096.*E=37\.5.*--truncation"):
             solve_inverse_temperature(SpectrumModel.log_power(2.5), 37.5)
 
+    def test_refusal_stops_when_the_bracket_closes(self, monkeypatch):
+        # The bracket closes on adjacent doubles after about 60 probes;
+        # probing on at its ends made 503.
+        calls = []
+        real = gibbs_mod.mean_energy
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs_mod, "mean_energy", counting)
+        with pytest.raises(NumericalError, match=r"q=2\.5\).*N=4096.*E=37\.5.*--truncation"):
+            solve_inverse_temperature(SpectrumModel.log_power(2.5), 37.5)
+        assert len(calls) <= 80
+
     def test_variance_needs_an_exact_log_partition(self):
         with pytest.raises(ValidationError, match="exact ln Z"):
             mean_energy(SpectrumModel.log_power(3.0), 1.0, variance=True)
@@ -502,6 +517,35 @@ class TestLogPowerIntegral:
             series = math.exp(log_partition(model, lam))
             integral = log_power_comparison_integral(3.0, lam)
             assert integral - 1e-9 <= series <= integral + 1.0 + 1e-9
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 2.5, 3.0, 5.0])
+    def test_gauss_kronrod_matches_tight_scipy_quad(self, q, monkeypatch):
+        # The same integrand, substitution and window, integrated point by
+        # point by QUADPACK at epsrel 1e-13; some small-lam cases overflow
+        # to +inf in both.
+        from scipy.integrate import quad as scipy_quad
+
+        def reference(func, a, b, args=()):
+            def scalar(t):
+                return float(func(np.array(t), *args))
+            return scipy_quad(scalar, a, b, epsabs=0.0, epsrel=1e-13, limit=2000)[0]
+
+        cases = [(lam, u0, weight) for lam in 10.0 ** np.arange(-8, 5, 2)
+                 for u0 in (0.0, math.log(10), math.log(4096), math.log(1e6))
+                 for weight in (0.0, q)]
+        got = [gibbs_mod._logpower_log_integral(q, float(lam), u0, weight)
+               for lam, u0, weight in cases]
+        monkeypatch.setattr(gibbs_mod, "quad", reference)
+        with np.errstate(over="ignore"):
+            want = [gibbs_mod._logpower_log_integral(q, float(lam), u0, weight)
+                    for lam, u0, weight in cases]
+        for case, g, w in zip(cases, got, want):
+            assert g == w or abs(g - w) <= 1e-12, case
+
+    def test_exhausted_panel_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(gibbs_mod, "QUAD_PANEL_BUDGET", 20)
+        with pytest.raises(NumericalError, match=r"panels.*q=3\.0, lam=0\.5, u0=0\.0"):
+            gibbs_mod._logpower_log_integral(3.0, 0.5, 0.0)
 
 
 class TestGrowthDiagnostics:

@@ -1,8 +1,8 @@
 """Import path: scipy loads only where a computation needs it.
 
 Each case runs in a fresh interpreter and reports the scipy modules
-loaded when it finishes.  Log-power quadrature and the ensemble
-transport LP are the only users of scipy.
+loaded when it finishes.  The ensemble transport LP is the only user
+of scipy; log-power quadrature is numpy's.
 """
 import json
 import os
@@ -43,17 +43,14 @@ def _cli(argv) -> str:
           "--channel", "identity"]),
     _cli(["verify", "--family", "channel-mi", "--channel", "depolarizing:0.25", "--trials",
           "1", "--epsilons", "0.01"]),
+    "from entrobound.gibbs import SpectrumModel, max_entropy\n"
+    "max_entropy(SpectrumModel.log_power(3.0), 2.0)",
+    _cli(["bound", "--logpower", "3", "--preset", "entropy", "--epsilon", "0.08",
+          "--energy", "1"]),
 ], ids=["import", "import-cli", "gibbs", "bound", "verify-channel-mi",
-        "verify-channel-mi-depolarizing"])
+        "verify-channel-mi-depolarizing", "logpower-envelope", "bound-logpower"])
 def test_loads_no_scipy(code):
     assert _scipy_modules_after(code) == []
-
-
-def test_logpower_envelope_loads_scipy_integrate():
-    loaded = _scipy_modules_after(
-        "from entrobound.gibbs import SpectrumModel, max_entropy\n"
-        "max_entropy(SpectrumModel.log_power(3.0), 2.0)")
-    assert "scipy.integrate" in loaded
 
 
 def test_transport_distance_loads_scipy_optimize():

@@ -12,9 +12,11 @@ ln Z is exact for explicit levels and oscillator modes.  A log-power
 series is summed to its truncation and its remainder bounded by the
 comparison integral, so its ln Z is an upper bound, and so is every F
 taken from it: F(E) <= lam E + ln Z(lam) at every lam > 0 (the Gibbs
-variational bound), however far the solve converged.  The integral is
-an adaptive Gauss-Kronrod rule in numpy (``quad``), so no spectrum
-imports scipy.
+variational bound), however far the solve converged.  That series plus
+integral is the one measure a log-power spectrum has: its mean energy
+is -d ln Z / d lam of the same ln Z, so the solve, ``gibbs --lam`` and
+``gibbs --energy`` all read one function.  The integral is an adaptive
+Gauss-Kronrod rule in numpy (``quad``), so no spectrum imports scipy.
 """
 from __future__ import annotations
 
@@ -31,9 +33,6 @@ LAMBDA_FLOOR = 1e-8
 LAMBDA_CAP = 1e4
 DEFAULT_TRUNCATION = 4096
 SOLVE_RTOL = 1e-9
-# Loud-failure threshold: a truncated value whose tail exceeds this
-# fraction of the value cannot be trusted.
-TAIL_FRACTION_LIMIT = 1e-6
 GROUND_TOL = 1e-12
 
 SPECTRUM_KINDS = ("explicit", "oscillator", "logpower")
@@ -244,8 +243,20 @@ def _logpower_log_integral(q: float, lam: float, u0: float, power_weight: float 
     """ln of integral_{u0}^inf u^power_weight * exp(u - lam u^q) du.
 
     Equals ln of integral_{exp(u0)}^inf (ln x)^power_weight
-    exp(-lam ln(x)^q) dx after x = e^u.  The max exponent is factored
-    out so tiny lam (huge peaks) cannot overflow.
+    exp(-lam ln(x)^q) dx after x = e^u.
+    """
+    top, rest = _logpower_integral_parts(q, lam, u0, power_weight)
+    return top + rest
+
+
+def _logpower_integral_parts(q: float, lam: float, u0: float,
+                             power_weight: float) -> tuple[float, float]:
+    """(top, rest) with top + rest = _logpower_log_integral(q, lam, u0, power_weight).
+
+    top = max over u >= u0 of u - lam u^q is factored out so tiny lam
+    (huge peaks) cannot overflow.  It does not depend on the power
+    weight, so a ratio of two weights at the same (q, lam, u0) is
+    exp(rest - rest'), free of the cancellation of two logs near top.
     """
     if lam <= 0:
         raise ValidationError("logpower integral: lam must be positive")
@@ -260,9 +271,11 @@ def _logpower_log_integral(q: float, lam: float, u0: float, power_weight: float 
     # Natural width of exp(phi) near the center: curvature scale at an
     # interior peak, gradient scale when the peak lies left of u0.  The
     # substitution u = center + scale * t keeps the integrand O(1)-wide
-    # so quadrature cannot step over a narrow spike.
+    # so quadrature cannot step over a narrow spike.  The gradient at an
+    # interior peak is 0; computed, it rounds to about 1e-16, which can
+    # dwarf the curvature scale there (q = 1.1, lam = 1e-7: 5e-36).
     curv = lam * q * (q - 1.0) * center ** (q - 2.0)
-    grad_c = 1.0 - lam * q * center ** (q - 1.0)
+    grad_c = 0.0 if center > u0 else 1.0 - lam * q * center ** (q - 1.0)
     scale = 1.0 / max(math.sqrt(curv), abs(grad_c))
 
     center_pow = center**q
@@ -300,7 +313,7 @@ def _logpower_log_integral(q: float, lam: float, u0: float, power_weight: float 
         raise NumericalError(
             f"logpower integral: quadrature collapsed at q={q}, lam={lam!r}, u0={u0!r}"
         )
-    return top + log_w_center + math.log(scale * total)
+    return top, log_w_center + math.log(scale * total)
 
 
 def log_power_comparison_integral(q: float, lam: float) -> float:
@@ -312,13 +325,31 @@ def log_power_comparison_integral(q: float, lam: float) -> float:
     return math.exp(_logpower_log_integral(q, lam, 0.0))
 
 
-def _logpower_series(q: float, lam: float, n: int) -> tuple[float, float]:
-    """(ln of truncated series, ln of tail upper bound)."""
-    ks = np.arange(1, n + 1, dtype=float)
-    expo = -lam * np.log(ks) ** q
-    log_s = _logsumexp(expo)
-    log_tail = _logpower_log_integral(q, lam, math.log(n))
-    return log_s, log_tail
+def _logpower_log_measure(model: SpectrumModel, lam: float, weighted: bool = False) -> float:
+    """ln(S_N + T_N) for a log-power spectrum, at power weight 0 or q.
+
+    S_N sums exp(-lam E_k) over the N = truncation retained levels
+    E_k = ln(k)^q, each term times E_k when ``weighted``; T_N is the
+    comparison integral from ln N at power weight 0, or q when weighted.
+    Unweighted this is the certified ln Z; weighted it is ln(-dZ/dlam)
+    of that same Z, so the two differ by ln of the measure's mean energy.
+    Where T_N exceeds S_N by more than a factor e^500 the truncation is
+    hopeless, and the NumericalError names the option that raises it.
+    """
+    n = model.truncation
+    energies = truncated_levels(model, n)
+    log_terms = -lam * energies
+    if weighted:
+        with np.errstate(divide="ignore"):
+            log_terms = log_terms + np.log(energies)
+    log_s = _logsumexp(log_terms)
+    gap = _logpower_log_integral(model.q, lam, math.log(n), model.q if weighted else 0.0) - log_s
+    if gap > 500.0:
+        raise NumericalError(
+            f"logpower(q={model.q}) truncation N={n} is hopeless at lam={lam!r}: the omitted "
+            f"tail dwarfs the sum. Raise the truncation (--truncation)"
+        )
+    return log_s + math.log1p(math.exp(gap))
 
 
 def certified_growth_lower(q: float, lam: float) -> float | None:
@@ -360,14 +391,7 @@ def log_partition(model: SpectrumModel, lam: float) -> float:
         return _logsumexp(-lam * np.asarray(model.levels))
     if model.kind == "oscillator":
         return sum(-0.5 * lam * f - _log1mexp(-lam * f) for f in model.frequencies)
-    log_s, log_tail = _logpower_series(model.q, lam, model.truncation)
-    gap = log_tail - log_s
-    if gap > 500.0:
-        raise NumericalError(
-            f"log_partition: truncation {model.truncation} hopeless for "
-            f"logpower(q={model.q}) at lam={lam!r}; omitted tail dwarfs the sum"
-        )
-    return log_s + math.log1p(math.exp(gap))
+    return _logpower_log_measure(model, lam)
 
 
 def _log1mexp(log_x: float) -> float:
@@ -382,11 +406,12 @@ def _log1mexp(log_x: float) -> float:
 def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
     """Mean energy of the Gibbs distribution at inverse temperature lam.
 
-    Decreasing in lam.  With ``variance=True`` returns (mean, Var_lam(H)),
+    Equals -d ln Z / d lam of log_partition's ln Z, so it decreases in
+    lam.  For a log-power spectrum that is the mean of the certified
+    measure, the series plus its comparison integral, not of the
+    truncated series.  With ``variance=True`` returns (mean, Var_lam(H)),
     for explicit and oscillator spectra only: Var is -d mean / d lam,
-    the slope the Newton solve steps along.  Truncated models fail loudly
-    when the omitted tail could shift the value by more than
-    TAIL_FRACTION_LIMIT relatively.
+    the slope the Newton solve steps along.
     """
     if lam <= 0:
         raise ValidationError(f"mean_energy: lam={lam!r} must be positive")
@@ -408,29 +433,8 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
         return (total, spread) if variance else total
     if variance:
         raise ValidationError("mean_energy: the variance needs an exact ln Z, not a log-power series")
-    n = model.truncation
-    q = model.q
-    ks = np.arange(1, n + 1, dtype=float)
-    energies = np.log(ks) ** q
-    expo = -lam * energies
-    log_den = _logsumexp(expo)
-    with np.errstate(divide="ignore"):
-        log_num = _logsumexp(expo + np.log(energies))
-    log_num_tail = _logpower_log_integral(q, lam, math.log(n), power_weight=q)
-    log_den_tail = _logpower_log_integral(q, lam, math.log(n))
-    worst = max(log_num_tail - log_num, log_den_tail - log_den)
-    if worst > 0.0:
-        raise NumericalError(
-            f"mean_energy: truncation {n} insufficient for logpower(q={q}) at "
-            f"lam={lam!r}; omitted tail exceeds the retained sum"
-        )
-    rel_tail = math.exp(log_num_tail - log_num) + math.exp(log_den_tail - log_den)
-    if rel_tail > TAIL_FRACTION_LIMIT:
-        raise NumericalError(
-            f"mean_energy: truncation {n} insufficient for logpower(q={q}) at lam={lam!r}; "
-            f"relative tail {rel_tail:.3e} exceeds {TAIL_FRACTION_LIMIT}"
-        )
-    return math.exp(log_num - log_den)
+    log_num = _logpower_log_measure(model, lam, weighted=True)
+    return math.exp(log_num - _logpower_log_measure(model, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +458,12 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
 
     Explicit and oscillator spectra, whose ln Z is exact, take a
     safeguarded Newton iteration (_newton_solve); log-power spectra
-    bisect (_bisect_solve), because their mean energy is refused, and
-    so has no slope, wherever the truncation cannot carry it.  lam is
-    clamped to [LAMBDA_FLOOR, LAMBDA_CAP]; a clamped solve is flagged
+    bisect (_bisect_solve) on the mean of their certified measure.  lam
+    is clamped to [LAMBDA_FLOOR, LAMBDA_CAP]; a clamped solve is flagged
     rather than silently accepted.  Both terminate when
-    |mean_energy(lam) - energy| <= SOLVE_RTOL * max(1, |energy|).
+    |mean_energy(lam) - energy| <= SOLVE_RTOL * max(1, |energy|).  The
+    one refusal left is a log-power bisection that probes a lam where
+    the truncation is hopeless (see _logpower_log_measure).
     """
     ground = model.ground_energy
     scale = max(1.0, abs(ground))
@@ -478,27 +483,20 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
             flag=flag,
         )
 
-    floor_mean = _probe(model, LAMBDA_FLOOR)
+    try:
+        floor_mean = mean_energy(model, LAMBDA_FLOOR)
+    except NumericalError:
+        # A log-power truncation is hopeless this close to lam = 0 (its
+        # mean there is past any E the series can carry), so the floor
+        # cannot be the answer.
+        floor_mean = math.inf
     if floor_mean <= energy:
         return build(LAMBDA_FLOOR, "lambda_floor")
     if mean_energy(model, LAMBDA_CAP) >= energy:
         return build(LAMBDA_CAP, "lambda_cap")
     if model.kind == "logpower":
-        return build(_bisect_solve(model, energy, tol, floor_mean == math.inf), None)
+        return build(_bisect_solve(model, energy, tol), None)
     return build(_newton_solve(model, energy, tol), None)
-
-
-def _probe(model: SpectrumModel, lam: float) -> float:
-    """mean_energy, or +inf where a truncated series refuses.
-
-    A series whose omitted tail dominates cannot be evaluated, but its
-    true mean energy lies beyond the last retained level, so for
-    bracketing it counts as +inf.
-    """
-    try:
-        return mean_energy(model, lam)
-    except NumericalError:
-        return math.inf
 
 
 def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> float:
@@ -559,39 +557,29 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> float:
     )
 
 
-def _bisect_solve(model: SpectrumModel, energy: float, tol: float, floor_refused: bool) -> float:
-    """Bracketed bisection for lam with _probe(lam) = energy (log-power spectra).
+def _bisect_solve(model: SpectrumModel, energy: float, tol: float) -> float:
+    """Bracketed bisection for lam with mean_energy(lam) = energy (log-power spectra).
 
-    The bracket doubles up from lam = 1, then halves until its midpoint
-    is no longer strictly inside it, that is, until lo and hi are
-    adjacent doubles.  When it closes on a lam whose probe the truncation
-    refused, the solution lies where the series cannot be summed, and the
-    error says to raise the truncation.
+    The mean of the certified measure decreases in lam, since its ln Z
+    is convex.  The bracket doubles up from lam = 1, then halves until
+    the tolerance is met or its midpoint is no longer strictly inside
+    it, that is, until lo and hi are adjacent doubles.
     """
     lo, hi = LAMBDA_FLOOR, 1.0
-    lo_refused = floor_refused
     while hi < LAMBDA_CAP:
-        value = _probe(model, hi)
-        if value <= energy:
+        if mean_energy(model, hi) <= energy:
             break
-        lo, lo_refused = hi, value == math.inf
-        hi = min(hi * 2.0, LAMBDA_CAP)
+        lo, hi = hi, min(hi * 2.0, LAMBDA_CAP)
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        value = _probe(model, mid)
+        value = mean_energy(model, mid)
         if abs(value - energy) <= tol:
             return mid
         if value > energy:
-            lo, lo_refused = mid, value == math.inf
+            lo = mid
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    if lo_refused:
-        raise NumericalError(
-            f"solve_inverse_temperature: logpower(q={model.q}) summed to truncation "
-            f"N={model.truncation} cannot reach mean energy E={energy!r}; the solution lies "
-            f"where the omitted tail is too large to sum. Raise the truncation (--truncation)"
-        )
     raise NumericalError(
         f"solve_inverse_temperature: bisection did not reach |mean - E| <= {tol!r}"
     )
@@ -680,7 +668,8 @@ def gibbs_family_distance(
     H(rho || gibbs_state(H, energy=Tr(H rho))).  No bound preset covers
     it: the Gibbs family is not convex, so the `ree` coefficients do not
     hold for it (the `gibbs-red` quantity is the relative entropy of
-    coherence instead).
+    coherence instead).  It stays here, outside the package namespace,
+    as a known-bad witness for mixing checks.
     """
     if rho.dim != hamiltonian.dim:
         raise ValidationError(
@@ -797,7 +786,8 @@ def _g_estimate(model: SpectrumModel, lam: float) -> tuple[float, str]:
     if model.kind != "logpower":
         return log_partition(model, lam), "series"
     # The truncated series serves while its remainder is negligible.
-    log_s, log_tail = _logpower_series(model.q, lam, model.truncation)
+    log_s = _logsumexp(-lam * truncated_levels(model, model.truncation))
+    log_tail = _logpower_log_integral(model.q, lam, math.log(model.truncation))
     if log_tail - log_s <= math.log(max(1e-9 * abs(log_s), 1e-12)):
         return log_s, "series"
     log_i = _logpower_log_integral(model.q, lam, 0.0)
@@ -808,12 +798,12 @@ def _g_estimate(model: SpectrumModel, lam: float) -> tuple[float, str]:
 
 def _mean_energy_estimate(model: SpectrumModel, lam: float, method: str) -> float:
     if method == "series":
-        try:
-            return mean_energy(model, lam)
-        except NumericalError:
-            pass
-    log_num = _logpower_log_integral(model.q, lam, 0.0, power_weight=model.q)
-    log_den = _logpower_log_integral(model.q, lam, 0.0)
+        return mean_energy(model, lam)
+    # The comparison integral's mean.  Both integrals share the peak
+    # term, 3.5e68 at q = 1.1 and lam = 1e-7, while their logs differ by
+    # under 200, so it is cancelled before rounding.
+    _, log_num = _logpower_integral_parts(model.q, lam, 0.0, model.q)
+    _, log_den = _logpower_integral_parts(model.q, lam, 0.0, 0.0)
     return math.exp(log_num - log_den)
 
 

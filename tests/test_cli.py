@@ -117,6 +117,20 @@ class TestGibbsCommand:
                 assert payload["energy"] == state_energy
             assert payload["energy"] <= energy + 1e-12
 
+    @pytest.mark.parametrize("spectrum, energy", [
+        (["--levels", "0,1,2.5"], 0.7),
+        (["--oscillator", "1,2"], 3.0),
+        (["--logpower", "3"], 2.0),
+        (["--logpower", "2.5"], 37.5),  # the tail integral carries 0.9% of the mean
+    ])
+    def test_energy_and_lam_are_inverse(self, capsys, spectrum, energy):
+        assert main(["gibbs", *spectrum, "--energy", repr(energy), "--json"]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert main(["gibbs", *spectrum, "--lam", repr(solved["lambda"]), "--json"]) == 0
+        back = json.loads(capsys.readouterr().out)
+        assert back["energy"] == pytest.approx(energy, rel=1e-9)
+        assert back["max_entropy"] == pytest.approx(solved["max_entropy"], rel=1e-9)
+
     def test_clamped_solve_reports_the_state_mean_energy(self, capsys):
         rc = main(["gibbs", "--oscillator", "1e-5", "--energy", "5e-5", "--json"])
         assert rc == 0
@@ -150,7 +164,8 @@ class TestGibbsCommand:
     def test_hopeless_truncation_exits_three(self, capsys):
         rc = main(["gibbs", "--logpower", "1.2", "--truncation", "50", "--lam", "0.001"])
         assert rc == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "N=50 is hopeless" in err and "--truncation" in err
 
 
 class TestBoundCommand:
@@ -220,15 +235,14 @@ class TestBoundCommand:
         assert rc == 0
         assert "bound: 0.172067883352 nats" in capsys.readouterr().out.splitlines()
 
-    def test_logpower_refusal_says_to_raise_the_truncation(self, capsys):
-        # E / eps = 37.5 needs the series past its 4096 default terms.
+    def test_formerly_refused_logpower_query_prints_a_bound(self, capsys):
+        # E / eps = 37.5 needs the series past its 4096 default terms; the
+        # tail integral carries it, at most 1e-6 above the 100000-term bound.
         rc = main(["bound", "--logpower", "2.5", "--preset", "entropy", "--epsilon", "0.08",
-                   "--energy", "3"])
-        assert rc == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "q=2.5" in captured.err and "N=4096" in captured.err
-        assert "E=37.5" in captured.err and "--truncation" in captured.err
+                   "--energy", "3", "--json"])
+        assert rc == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert 3.11462544519 <= value <= 3.11462544519 + 1e-6
 
     def test_logpower_bound(self, capsys):
         rc = main(["bound", "--logpower", "3", "--preset", "entropy", "--epsilon", "0.08",
@@ -516,6 +530,16 @@ class TestLemma2Command:
         out = capsys.readouterr().out
         assert "verdict: inconsistent" in out
         assert "certified lower bound" in out
+
+    def test_integral_mean_energy_rises_as_lam_falls(self, capsys):
+        # The comparison integral's mean is about 3.5e21 at lam = 0.01; its
+        # two logs (3.5e16) differ by less than one of their ulps.
+        rc = main(["lemma2", "--q", "1.1", "--lambdas", "1,0.1,0.01,1e-7", "--json"])
+        assert rc == 0
+        energies = json.loads(capsys.readouterr().out)["energies"]
+        assert all(math.isfinite(e) for e in energies)
+        assert all(a < b for a, b in zip(energies, energies[1:]))
+        assert energies[2] == pytest.approx(3.5049e21, rel=1e-4)
 
     def test_rejects_small_exponent(self, capsys):
         rc = main(["lemma2", "--q", "0.5"])

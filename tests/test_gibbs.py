@@ -140,15 +140,18 @@ class TestMeanEnergy:
         assert mean_energy(SINGLE_MODE, lam) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_log_partition_derivative(self):
-        # mean = -d ln Z / d lam, central difference at 1e-5 relative.
-        for model in (TWO_LEVEL, SINGLE_MODE, SpectrumModel.log_power(3.0)):
-            for lam in (0.4, 1.1):
-                h = 1e-6 * lam
-                up = log_partition(model, lam + h)
-                down = log_partition(model, lam - h)
-                fd = -(up - down) / (2 * h)
-                got = mean_energy(model, lam)
-                assert abs(got - fd) <= 1e-5 * max(1.0, abs(got))
+        # mean = -d ln Z / d lam, central difference at 1e-5 relative.  At
+        # lam = 0.002 the log-power tail integral is 18 times its series.
+        logpower = SpectrumModel.log_power(3.0)
+        cases = [(model, lam) for model in (TWO_LEVEL, SINGLE_MODE, logpower)
+                 for lam in (0.4, 1.1)] + [(logpower, 0.002)]
+        for model, lam in cases:
+            h = 1e-6 * lam
+            up = log_partition(model, lam + h)
+            down = log_partition(model, lam - h)
+            fd = -(up - down) / (2 * h)
+            got = mean_energy(model, lam)
+            assert abs(got - fd) <= 1e-5 * max(1.0, abs(got))
 
     def test_strictly_decreasing_in_lam(self):
         for model in (TWO_LEVEL, SINGLE_MODE, SpectrumModel.log_power(2.5)):
@@ -156,7 +159,7 @@ class TestMeanEnergy:
             assert all(a > b for a, b in zip(grid, grid[1:]))
 
     def test_hopeless_truncation_fails_loudly(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"N=50 is hopeless.*--truncation"):
             mean_energy(SpectrumModel.log_power(1.2, truncation=50), 0.001)
 
 
@@ -315,38 +318,59 @@ class TestNewtonSolve:
         assert max(worst.values()) <= 12, worst
 
 
+# F of solve_inverse_temperature(log_power(q), E) for E in geomspace(0.5, 40, 10),
+# as the bisection on the truncated series' mean printed it; None where it
+# refused because the solution needed more than N = 4096 terms.
+SERIES_MEAN_F = {
+    2.5: (1.2493412938192554, 1.5153371766259087, 1.8189206729722025, 2.1667848308347324,
+          2.567213822150147, 3.0304857162577035, 3.569365671198912, None, None, None),
+    3.0: (1.2225158498018762, 1.445752409401452, 1.6949705072481747, 1.9741624164907456,
+          2.2880059959117958, 2.6420614001124845, 3.0429774799072797, 3.498717842579384,
+          4.018811604644468, None),
+}
+
+
 class TestLogPowerBisection:
     # lam and F printed by the bisection before the Newton solve was added
-    # for exact spectra; log-power keeps that bisection bit for bit.
+    # for exact spectra.  E = 10 (q = 2.5) and E = 25 (q = 3) moved when the
+    # probed mean became that of the series plus its tail integral: lam by
+    # 1.8e-8 and 1.3e-9 relative, F by one ulp.
     @pytest.mark.parametrize("q,energy,lam,f_value", [
         (2.5, 3.0, "0x1.1fc2c503853b8p-2", "0x1.376524d90d8ecp+1"),
-        (2.5, 10.0, "0x1.f538ee6b1a864p-4", "0x1.d463f5483d5e1p+1"),
+        (2.5, 10.0, "0x1.f538ef031a862p-4", "0x1.d463f5483d5e2p+1"),
         (3.0, 2.0, "0x1.316cddf08e8d0p-2", "0x1.edecc3fe6b21cp+0"),
-        (3.0, 25.0, "0x1.77e2f4b753852p-5", "0x1.0270dd591666bp+2"),
+        (3.0, 25.0, "0x1.77e2f4bf53852p-5", "0x1.0270dd591666ap+2"),
     ])
     def test_pinned_bit_for_bit(self, q, energy, lam, f_value):
         sol = solve_inverse_temperature(SpectrumModel.log_power(q), energy)
         assert (sol.lam.hex(), sol.f_value.hex(), sol.flag) == (lam, f_value, None)
 
-    def test_refusal_names_the_truncation_to_raise(self):
-        # E / eps = 37.5 needs terms past N = 4096 that the series cannot sum.
-        with pytest.raises(NumericalError, match=r"q=2\.5\).*N=4096.*E=37\.5.*--truncation"):
-            solve_inverse_temperature(SpectrumModel.log_power(2.5), 37.5)
+    @pytest.mark.parametrize("q", sorted(SERIES_MEAN_F))
+    def test_every_energy_solves_and_kept_values_stay(self, q):
+        model = SpectrumModel.log_power(q)
+        for energy, before in zip(np.geomspace(0.5, 40.0, 10), SERIES_MEAN_F[q]):
+            sol = assert_solves(model, float(energy))
+            if before is not None:
+                assert sol.f_value == pytest.approx(before, rel=1e-12, abs=0.0)
 
-    def test_refusal_stops_when_the_bracket_closes(self, monkeypatch):
-        # The bracket closes on adjacent doubles after about 60 probes;
-        # probing on at its ends made 503.
-        calls = []
-        real = gibbs_mod.mean_energy
+    def test_formerly_refused_energy_gets_a_certified_f(self):
+        # E / eps = 37.5 needs terms past N = 4096.  Every truncation's ln Z
+        # bounds a longer one's from above, so F does too.
+        sol = assert_solves(SpectrumModel.log_power(2.5), 37.5)
+        longer = solve_inverse_temperature(SpectrumModel.log_power(2.5, truncation=100_000), 37.5)
+        assert longer.f_value <= sol.f_value <= longer.f_value + 1e-6
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+    def test_formerly_refused_solve_stays_within_the_probe_budget(self, monkeypatch):
+        # Log-power solves take 29-37 probes on the geomspace(0.5, 40) grid;
+        # E = 37.5, past what N = 4096 terms carry, is no exception.
+        calls = counting_probes(monkeypatch)
+        solve_inverse_temperature(SpectrumModel.log_power(2.5), 37.5)
+        assert len(calls) <= 60
 
-        monkeypatch.setattr(gibbs_mod, "mean_energy", counting)
-        with pytest.raises(NumericalError, match=r"q=2\.5\).*N=4096.*E=37\.5.*--truncation"):
-            solve_inverse_temperature(SpectrumModel.log_power(2.5), 37.5)
-        assert len(calls) <= 80
+    def test_hopeless_solution_names_the_truncation_to_raise(self):
+        # lam(1e9) lies below about 1.7e-5, where N = 4096 is hopeless.
+        with pytest.raises(NumericalError, match=r"q=2\.5\) truncation N=4096.*--truncation"):
+            solve_inverse_temperature(SpectrumModel.log_power(2.5), 1e9)
 
     def test_variance_needs_an_exact_log_partition(self):
         with pytest.raises(ValidationError, match="exact ln Z"):
@@ -541,6 +565,15 @@ class TestLogPowerIntegral:
                     for lam, u0, weight in cases]
         for case, g, w in zip(cases, got, want):
             assert g == w or abs(g - w) <= 1e-12, case
+
+    def test_interior_peak_at_tiny_lam_is_finite(self):
+        # Computed, the gradient at the peak rounds to 1e-16 at lam = 1e-7,
+        # far above the 5e-36 curvature scale; the width must stay 2e35.
+        u0 = math.log(4096)
+        values = [gibbs_mod._logpower_log_integral(1.1, lam, u0) for lam in (1e-8, 1e-7, 1e-6)]
+        assert all(math.isfinite(v) for v in values)
+        assert values[0] > values[1] > values[2]
+        assert values[1] == pytest.approx(3.50494e68, rel=1e-5)
 
     def test_exhausted_panel_budget_raises(self, monkeypatch):
         monkeypatch.setattr(gibbs_mod, "QUAD_PANEL_BUDGET", 20)

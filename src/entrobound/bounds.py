@@ -82,7 +82,8 @@ PRESETS: dict[str, BoundDescriptor] = {
 }
 
 
-@dataclass(frozen=True)
+# Slotted, as SweepRow is: a query stream may keep every result it gets.
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """One evaluated bound with its decomposition and provenance echo."""
 

@@ -6,7 +6,8 @@ attained by the Gibbs state at the inverse temperature lam(E) solving
 the mean-energy equation, and equals ``lam * E + ln Z(lam)``.  Where
 ln Z is exact (explicit levels, oscillator modes) the mean energy comes
 with its variance, which is -d mean / d lam, and the solve is a
-safeguarded Newton iteration; a log-power solve bisects.
+safeguarded Newton iteration that checks the clamps on lam only when its
+iterates reach them; a log-power solve checks both clamps, then bisects.
 
 ln Z is exact for explicit levels and oscillator modes.  A log-power
 series is summed to its truncation and its remainder bounded by the
@@ -48,6 +49,10 @@ class SpectrumModel:
     kind="logpower":   unbounded spectrum E_k = ln(k)**q for k >= 1,
                        summed to ``truncation`` terms (default
                        DEFAULT_TRUNCATION); no other kind takes one.
+
+    An explicit model also keeps its sorted levels as one read-only array,
+    the attribute ``level_array`` (None for the other kinds), which the
+    partition function and every mean-energy probe read.
     """
 
     kind: str
@@ -71,6 +76,7 @@ class SpectrumModel:
             raise ValidationError(
                 f"SpectrumModel: truncation must be an integer >= 2, got {self.truncation!r}"
             )
+        level_array = None
         if self.kind == "explicit":
             if not self.levels:
                 raise ValidationError("SpectrumModel: explicit kind needs levels")
@@ -78,6 +84,8 @@ class SpectrumModel:
             if not all(math.isfinite(x) for x in levels):
                 raise ValidationError("SpectrumModel: non-finite level")
             object.__setattr__(self, "levels", levels)
+            level_array = np.array(levels)
+            level_array.flags.writeable = False
         elif self.kind == "oscillator":
             if not self.frequencies:
                 raise ValidationError("SpectrumModel: oscillator kind needs frequencies")
@@ -90,6 +98,8 @@ class SpectrumModel:
                 raise ValidationError(
                     f"SpectrumModel: logpower exponent must satisfy q > 1, got {self.q!r}"
                 )
+        # Not a dataclass field, so equality, hashing and repr see the tuple only.
+        object.__setattr__(self, "level_array", level_array)
 
     @classmethod
     def explicit(cls, levels) -> "SpectrumModel":
@@ -163,24 +173,24 @@ def _logsumexp(a: np.ndarray) -> float:
 
     The terms equal to the maximum are counted, not exponentiated:
     ln(count) + max + log1p(rest / count), which keeps the values of
-    scipy 1.17 bit for bit.  Non-finite results fall back to the direct
-    sum, as scipy's do.
+    scipy 1.17 bit for bit.  That sum is finite whenever the maximum is;
+    an array whose maximum is not (all -inf, or an entry +inf or nan)
+    takes the direct sum, as scipy's fallback does.
     """
-    a_max = np.max(a)
+    a_max = a.max()
+    if not math.isfinite(a_max):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(np.log(np.exp(a).sum()))
     at_max = a == a_max
-    count = np.sum(at_max, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
-        out = np.log1p(rest / count) + np.log(count) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
+    count = at_max.sum(dtype=float)
+    rest = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
+    return float(np.log1p(rest / count) + np.log(count) + a_max)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     """exp(x) / sum(exp(x)), shifted by the maximum as scipy.special.softmax is."""
-    e = np.exp(x - np.max(x))
-    return e / np.sum(e)
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
 # QUADPACK qk15: the Kronrod nodes in (0, 1] with the centre last (their
@@ -388,7 +398,7 @@ def log_partition(model: SpectrumModel, lam: float) -> float:
     if lam <= 0:
         raise ValidationError(f"log_partition: lam={lam!r} must be positive")
     if model.kind == "explicit":
-        return _logsumexp(-lam * np.asarray(model.levels))
+        return _logsumexp(-lam * model.level_array)
     if model.kind == "oscillator":
         return sum(-0.5 * lam * f - _log1mexp(-lam * f) for f in model.frequencies)
     return _logpower_log_measure(model, lam)
@@ -416,7 +426,7 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
     if lam <= 0:
         raise ValidationError(f"mean_energy: lam={lam!r} must be positive")
     if model.kind == "explicit":
-        levels = np.asarray(model.levels)
+        levels = model.level_array
         probs = _softmax(-lam * levels)
         mean = float(probs @ levels)
         if variance:
@@ -456,11 +466,14 @@ class GibbsSolution:
 def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolution:
     """Solve mean_energy(lam) = energy for lam.
 
-    Explicit and oscillator spectra, whose ln Z is exact, take a
-    safeguarded Newton iteration (_newton_solve); log-power spectra
-    bisect (_bisect_solve) on the mean of their certified measure.  lam
-    is clamped to [LAMBDA_FLOOR, LAMBDA_CAP]; a clamped solve is flagged
-    rather than silently accepted.  Both terminate when
+    lam is clamped to [LAMBDA_FLOOR, LAMBDA_CAP]; a clamped solve is
+    flagged rather than silently accepted: "lambda_floor" when E is at or
+    above the floor's mean, else "lambda_cap" when E is at or below the
+    cap's.  Explicit and oscillator spectra, whose ln Z is exact, take a
+    safeguarded Newton iteration (_newton_solve), which probes an end of
+    the clamp range only when its iterates reach it.  Log-power spectra
+    check both ends first and bisect (_bisect_solve) on the mean of
+    their certified measure.  Both terminate when
     |mean_energy(lam) - energy| <= SOLVE_RTOL * max(1, |energy|).  The
     one refusal left is a log-power bisection that probes a lam where
     the truncation is hopeless (see _logpower_log_measure).
@@ -483,6 +496,8 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
             flag=flag,
         )
 
+    if model.kind != "logpower":
+        return build(*_newton_solve(model, energy, tol))
     try:
         floor_mean = mean_energy(model, LAMBDA_FLOOR)
     except NumericalError:
@@ -494,14 +509,13 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
         return build(LAMBDA_FLOOR, "lambda_floor")
     if mean_energy(model, LAMBDA_CAP) >= energy:
         return build(LAMBDA_CAP, "lambda_cap")
-    if model.kind == "logpower":
-        return build(_bisect_solve(model, energy, tol), None)
-    return build(_newton_solve(model, energy, tol), None)
+    return build(_bisect_solve(model, energy, tol), None)
 
 
-def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> float:
+def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[float, str | None]:
     """Safeguarded Newton ("rtsafe") for lam with mean_energy(lam) = energy.
 
+    Returns (lam, flag), flag as solve_inverse_temperature documents it.
     Solves g = ln((mean - E0) / (energy - E0)) = 0 in u = ln lam, where
     dg/du = -lam Var / (mean - E0).  For oscillators that form is close
     to linear at both ends: the excess mean - E0 goes as modes / lam for
@@ -509,25 +523,44 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> float:
     tends to the mean level minus E0 as lam -> 0, where g flattens in u,
     so explicit levels try the same step in lam first, lam (1 + du).
 
-    The bracket starts at [LAMBDA_FLOOR, LAMBDA_CAP], which the caller
-    has checked, and shrinks with every probe; a step that leaves it, or
-    an excess or variance that underflows, takes the bracket's geometric
-    midpoint instead.  The start ln(1 + modes gap / x) / gap, with
-    x = energy - E0 and gap the lowest excitation, solves a single mode
-    exactly and tends to modes / x at high energy.  The probe that meets
-    the tolerance returns its own Newton step when that stays in the
-    bracket.
+    The bracket starts at [LAMBDA_FLOOR, LAMBDA_CAP], unchecked, and
+    shrinks with every probe; a step that leaves it, or an excess or
+    variance that underflows, takes the bracket's geometric midpoint
+    instead.  The start ln(1 + modes gap / x) / gap, with x = energy - E0
+    and gap the lowest excitation, solves a single mode exactly and tends
+    to modes / x at high energy.  The probe that meets the tolerance
+    returns its own Newton step when that stays in the bracket.
+
+    Since the mean decreases in lam, a probe whose mean lies above E by
+    more than the tolerance rules the floor out, and one below it by more
+    rules the cap out; nearer E, rounding could put the end's computed
+    mean on either side.  Before it returns or takes a midpoint, the
+    iteration probes each end not yet ruled out, floor first, and returns
+    that end, flagged, if E lies past its mean.
     """
     ground = model.ground_energy
     excess_target = energy - ground
-    if excess_target <= 0.0:
-        # The caller found energy > mean_energy(LAMBDA_CAP) >= E0, so only
-        # rounding lands here, and the cap's mean is within it of E.
-        return LAMBDA_CAP
-    if model.kind == "oscillator":
-        modes, gap = len(model.frequencies), min(model.frequencies)
+    explicit = model.kind == "explicit"
+    floor_out = cap_out = False
+
+    def clamped():
+        nonlocal floor_out, cap_out
+        if not floor_out and mean_energy(model, LAMBDA_FLOOR) <= energy:
+            return LAMBDA_FLOOR, "lambda_floor"
+        if not cap_out and mean_energy(model, LAMBDA_CAP) >= energy:
+            return LAMBDA_CAP, "lambda_cap"
+        floor_out = cap_out = True
+        return None
+
+    if explicit:
+        modes, gap = 1, next((x - ground for x in model.levels if x > ground), None)
     else:
-        modes, gap = 1, next(x - ground for x in model.levels if x > ground)
+        modes, gap = len(model.frequencies), min(model.frequencies)
+    if excess_target <= 0.0 or gap is None:
+        # At or below E0 a clamp holds unless the cap's mean rounds below
+        # E, and then the cap is within that rounding of E.  Without an
+        # excitation the mean is one value at both ends, so a clamp holds.
+        return clamped() or (LAMBDA_CAP, None)
     lo, hi = LAMBDA_FLOOR, LAMBDA_CAP
     lam = min(max(math.log1p(modes * gap / excess_target) / gap, lo), hi)
     for _ in range(200):
@@ -537,20 +570,27 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> float:
             lo = lam
         else:
             hi = lam
+        floor_out = floor_out or mean > energy + tol
+        cap_out = cap_out or mean < energy - tol
         excess = mean - ground
-        steps = []
+        step = None
         if excess > 0.0 and var > 0.0:
             du = math.log(excess / excess_target) * excess / (lam * var)
-            if model.kind == "explicit":
-                steps.append(lam * (1.0 + du))
-            steps.append(lam * math.exp(min(du, 700.0)))
-        step = next((s for s in steps if lo < s < hi), None)
+            if explicit and lo < (s := lam * (1.0 + du)) < hi:
+                step = s
+            elif lo < (s := lam * math.exp(min(du, 700.0))) < hi:
+                step = s
+        if (converged or step is None) and (flagged := clamped()):
+            return flagged
         if converged:
             # The last probe's own Newton step is free and squares the
             # error left within the tolerance, so lam does not depend on
             # where in the tolerance the iteration happened to land.
-            return lam if step is None else step
+            return (lam if step is None else step), None
         lam = math.sqrt(lo * hi) if step is None else step
+    # Out of iterations: an end left open may still hold E.
+    if flagged := clamped():
+        return flagged
     raise NumericalError(
         f"solve_inverse_temperature: Newton iteration did not reach |mean - E| <= {tol!r} "
         f"for the {model.kind} spectrum at E={energy!r}"
@@ -612,7 +652,7 @@ def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
     solve_inverse_temperature(model, E).
     """
     if model.kind == "explicit":
-        uniform = float(np.mean(model.levels))
+        uniform = float(model.level_array.mean())
         if energy >= uniform:
             log_d = math.log(len(model.levels))
             return GibbsSolution(lam=0.0, energy=uniform, f_value=log_d, log_z=log_d)

@@ -363,9 +363,14 @@ class _Budget:
 
 def random_density_matrix(rng, dim: int) -> DensityMatrix:
     """Hilbert-Schmidt random full-rank state."""
+    return DensityMatrix(_hilbert_schmidt_draw(rng, dim))
+
+
+def _hilbert_schmidt_draw(rng, dim: int) -> np.ndarray:
+    """The matrix of random_density_matrix(rng, dim), unvalidated: G G^dag / Tr."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mat = g @ g.conj().T
-    return DensityMatrix(mat / np.trace(mat).real)
+    return mat / np.trace(mat).real
 
 
 def _diag_energy(matrix: np.ndarray, lifted: np.ndarray) -> float:
@@ -399,8 +404,9 @@ def _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget, band=None):
     dim = len(lifted)
     while True:
         budget.spend()
-        raw = random_density_matrix(rng, dim)
-        e_raw = _diag_energy(raw.matrix, lifted)
+        # Only the mixture below is validated; the draw is a state by construction.
+        raw = _hilbert_schmidt_draw(rng, dim)
+        e_raw = _diag_energy(raw, lifted)
         if band is None:
             t_max = 1.0 if e_raw <= energy else (energy - anchor_e) / (e_raw - anchor_e)
             t = t_max * rng.uniform(0.15, 1.0)
@@ -411,7 +417,7 @@ def _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget, band=None):
             t_lo = max(0.0, (lo - anchor_e) / (e_raw - anchor_e))
             t_hi = (hi - anchor_e) / (e_raw - anchor_e)
             t = rng.uniform(t_lo, t_hi)
-        mat = (1.0 - t) * np.diag(anchor_p) + t * raw.matrix
+        mat = (1.0 - t) * np.diag(anchor_p) + t * raw
         state = DensityMatrix(mat)
         return state, _diag_energy(state.matrix, lifted)
 

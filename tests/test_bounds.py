@@ -83,6 +83,11 @@ class TestContinuityBound:
         assert r.main_term == pytest.approx(2.0 * math.sqrt(0.4) * r.f_value, rel=1e-12)
         assert r.additive_term == pytest.approx(2.0 * thermal_entropy(math.sqrt(0.4)), rel=1e-12)
 
+    def test_result_is_slotted(self):
+        r = continuity_bound("entropy", TWO_LEVEL, 0.2, 0.3)
+        assert not hasattr(r, "__dict__")
+        assert dataclasses.replace(r, value=1.0).value == 1.0
+
     def test_epsilon_zero_returns_zero(self):
         r = continuity_bound("entropy", TWO_LEVEL, 0.0, 1.0)
         assert r.value == 0.0

@@ -72,6 +72,17 @@ class TestSpectrumModel:
     def test_ground_multiplicity(self):
         assert SpectrumModel.explicit((0.0, 0.0, 1.0)).ground_multiplicity == 2
 
+    def test_level_array_is_one_read_only_copy_of_the_sorted_levels(self):
+        m = SpectrumModel.explicit((2.0, 0.0, 1.0))
+        assert m.level_array.tolist() == [0.0, 1.0, 2.0]
+        with pytest.raises(ValueError):
+            m.level_array[0] = 5.0
+        # Not a field: equality, hashing and repr read the tuple only.
+        same = SpectrumModel.explicit((0.0, 1.0, 2.0))
+        assert same == m and hash(same) == hash(m) and "level_array" not in repr(m)
+        assert SINGLE_MODE.level_array is None
+        assert SpectrumModel.log_power(2.0).level_array is None
+
     def test_truncated_levels_oscillator(self):
         got = truncated_levels(SINGLE_MODE, 4)
         assert np.allclose(got, [0.5, 1.5, 2.5, 3.5])
@@ -302,11 +313,14 @@ class TestNewtonSolve:
 
     def test_probe_count_guard(self, monkeypatch):
         # Bisection took 30-50 probes per solve on this grid; the Newton
-        # iteration must not drift back there.
+        # iteration must not drift back there.  With both clamp ends
+        # probed before every solve the grid took 446 probes in all;
+        # probing an end only when the iterates reach it takes 414.
         calls = counting_probes(monkeypatch)
         models = (SpectrumModel.explicit(range(16)), SpectrumModel.oscillator((1.0,)),
                   SpectrumModel.oscillator((1.0, 1.5, 2.0)))
         worst = {}
+        total = 0
         for model in models:
             for energy in np.geomspace(0.02, 60.0, 60):
                 if energy <= model.ground_energy:
@@ -314,8 +328,109 @@ class TestNewtonSolve:
                 calls.clear()
                 solve_inverse_temperature(model, float(energy))
                 worst[model] = max(worst.get(model, 0), len(calls))
+                total += len(calls)
         assert len(worst) == 3
         assert max(worst.values()) <= 12, worst
+        assert total <= 414
+
+    @pytest.mark.parametrize("model", [SpectrumModel.explicit(range(16)),
+                                       SpectrumModel.oscillator((1.0, 1.5, 2.0))],
+                             ids=["explicit", "oscillator3"])
+    def test_interior_solve_probes_at_most_one_clamp_end(self, monkeypatch, model):
+        # A probe with mean beyond the tolerance above E rules the floor
+        # out, one beyond it below rules the cap out; the iteration checks
+        # only an end left open.
+        calls = counting_probes(monkeypatch)
+        sol = solve_inverse_temperature(model, model.ground_energy + 1.0)
+        assert sol.flag is None
+        ends = [lam for lam in calls if lam in (LAMBDA_FLOOR, LAMBDA_CAP)]
+        assert len(ends) <= 1
+
+
+PINNED_SPECTRA = {
+    "explicit16": SpectrumModel.explicit(range(16)),
+    "degenerate": SpectrumModel.explicit((0.0, 0.0, 1.0, 2.5)),
+    "single": SpectrumModel.explicit((1.0,)),
+    "flat": SpectrumModel.explicit((1.0, 1.0)),
+    # The mean at lam = 8.2 already rounds to the cap's, one ulp above E0.
+    "exacthit": SpectrumModel.explicit((0.1,) * 5 + (5.0,)),
+    "mode": SINGLE_MODE,
+    "modes3": SpectrumModel.oscillator((1.0, 1.5, 2.0)),
+    # Its cap's mean lies 4.5e-8 above E0, so E0 + 1e-9 is a cap solve.
+    "slowmode": SpectrumModel.oscillator((1e-3,)),
+    # E a rounding away from an end's computed mean, where a probe just
+    # past E does not rule that end out.
+    "floorround": SpectrumModel.explicit((0.15, 0.02, 0.4)),
+    "capround": SpectrumModel.explicit((-6.133430415757047,) * 3 + (-4.2870595574733,)),
+}
+# (spectrum, E, lam, flag, F) of solve_inverse_temperature, floats in hex, as
+# printed when both clamp ends were probed before every Newton solve.  Per
+# spectrum E runs over: the float below E0 (where the ground check allows
+# it), E0, E0 + 1e-9, mean_energy(LAMBDA_FLOOR) and its two neighbours, a
+# mid-range E, and an E above the mean level (explicit) or twice the
+# floor's mean (oscillators).  The last two rows come from a scan of E
+# next to the ends' computed means.
+SOLVE_PINS = [
+    ("explicit16", "-0x0.0000000000001p-1022", "0x1.3880000000000p+13", 'lambda_cap', "-0x0.0000000002710p-1022"),
+    ("explicit16", "0x0.0p+0", "0x1.3880000000000p+13", 'lambda_cap', "0x0.0p+0"),
+    ("explicit16", "0x1.12e0be826d695p-30", "0x1.4b927f3304b3bp+4", None, "0x1.7533eefb92209p-26"),
+    ("explicit16", "0x1.dfffff1bd471dp+2", "0x1.5798ee583c0e3p-27", None, "0x1.62e42fefa39edp+1"),
+    ("explicit16", "0x1.dfffff1bd471ep+2", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e42fefa39ecp+1"),
+    ("explicit16", "0x1.dfffff1bd471fp+2", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e42fefa39ecp+1"),
+    ("explicit16", "0x1.2000000000000p+1", "0x1.71b6b351feaf1p-2", None, "0x1.00657d8dabc8bp+1"),
+    ("explicit16", "0x1.1000000000000p+3", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e430051d2dfp+1"),
+    ("degenerate", "-0x0.0000000000001p-1022", "0x1.3880000000000p+13", 'lambda_cap', "0x1.62e42fefa39efp-1"),
+    ("degenerate", "0x0.0p+0", "0x1.3880000000000p+13", 'lambda_cap', "0x1.62e42fefa39efp-1"),
+    ("degenerate", "0x1.12e0be826d695p-30", "0x1.407b5db308b45p+4", None, "0x1.62e430a449574p-1"),
+    ("degenerate", "0x1.bfffffa612f9ap-1", "0x1.5798eeb102e9bp-27", None, "0x1.62e42fefa39efp+0"),
+    ("degenerate", "0x1.bfffffa612f9bp-1", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e42fefa39eep+0"),
+    ("degenerate", "0x1.bfffffa612f9cp-1", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e42fefa39eep+0"),
+    ("degenerate", "0x1.0cccccccccccdp-2", "0x1.d3053274fbd55p-1", None, "0x1.28443b1e84d1dp+0"),
+    ("degenerate", "0x1.e000000000000p+0", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e4301a96bcbp+0"),
+    ("single", "0x1.fffffffffffffp-1", "0x1.3880000000000p+13", 'lambda_cap', "-0x1.0000000000000p-39"),
+    ("single", "0x1.0000000000000p+0", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x0.0p+0"),
+    ("single", "0x1.000000044b830p+0", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.70ef580000000p-57"),
+    ("single", "0x1.0000000000001p+0", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.0000000000000p-79"),
+    ("single", "0x1.0000000000000p+1", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.5798ee2308c3ap-27"),
+    ("flat", "0x1.fffffffffffffp-1", "0x1.3880000000000p+13", 'lambda_cap', "0x1.62e42fefa0000p-1"),
+    ("flat", "0x1.0000000000000p+0", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e42fefa39efp-1"),
+    ("flat", "0x1.000000044b830p+0", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e42fefa39efp-1"),
+    ("flat", "0x1.0000000000001p+0", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e42fefa39efp-1"),
+    ("flat", "0x1.0000000000000p+1", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.62e4304589da7p-1"),
+    ("mode", "0x1.fffffffffffffp-2", "0x1.3880000000000p+13", 'lambda_cap', "-0x1.0000000000000p-40"),
+    ("mode", "0x1.0000000000000p-1", "0x1.3880000000000p+13", 'lambda_cap', "0x0.0p+0"),
+    ("mode", "0x1.000000089705fp-1", "0x1.4b927f3a9c38bp+4", None, "0x1.7533ee0000000p-26"),
+    ("mode", "0x1.7d783fffffffep+26", "0x1.5798ee2308c3bp-27", None, "0x1.36bb1bbb55515p+4"),
+    ("mode", "0x1.7d783ffffffffp+26", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.36bb1bbb55515p+4"),
+    ("mode", "0x1.7d78400000000p+26", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.36bb1bbb55515p+4"),
+    ("mode", "0x1.8000000000000p+0", "0x1.62e42fefa39efp-1", None, "0x1.62e42fefa39efp+0"),
+    ("mode", "0x1.7d783ffffffffp+27", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.46bb1bbb55515p+4"),
+    ("exacthit", "0x1.999999999999bp-4", "0x1.3880000000000p+13", 'lambda_cap', "0x1.9c041f7ed9200p+0"),
+    ("modes3", "0x1.1ffffffffffffp+1", "0x1.3880000000000p+13", 'lambda_cap', "-0x1.0000000000000p-38"),
+    ("modes3", "0x1.2000000000000p+1", "0x1.3880000000000p+13", 'lambda_cap', "0x0.0p+0"),
+    ("modes3", "0x1.2000000225c18p+1", "0x1.4c020ed611da4p+4", None, "0x1.7535b00000000p-26"),
+    ("modes3", "0x1.1e1a2ffffffffp+28", "0x1.5798ee2308c3bp-27", None, "0x1.c94eb45ba9788p+5"),
+    ("modes3", "0x1.1e1a300000000p+28", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.c94eb45ba9788p+5"),
+    ("modes3", "0x1.1e1a300000001p+28", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.c94eb45ba9788p+5"),
+    ("modes3", "0x1.a000000000000p+1", "0x1.2810b09a93f5dp+0", None, "0x1.d522ffe4dc088p+0"),
+    ("modes3", "0x1.1e1a300000000p+29", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.e14eb45ba9788p+5"),
+    ("slowmode", "0x1.0624dd2f1a9fbp-11", "0x1.3880000000000p+13", 'lambda_cap', "0x1.7cd9d1eb60000p-15"),
+    ("slowmode", "0x1.0624dd2f1a9fcp-11", "0x1.3880000000000p+13", 'lambda_cap', "0x1.7cd9d1eb80000p-15"),
+    ("slowmode", "0x1.0624ff8b32701p-11", "0x1.3880000000000p+13", 'lambda_cap', "0x1.d0bca80f20000p-15"),
+    ("slowmode", "0x1.7d783fffffffep+26", "0x1.5798ee2308c3bp-27", None, "0x1.a5414621954fep+4"),
+    ("slowmode", "0x1.7d783ffffffffp+26", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.a5414621954fep+4"),
+    ("slowmode", "0x1.7d78400000000p+26", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.a5414621954fep+4"),
+    ("slowmode", "0x1.0020c49ba5e35p+0", "0x1.ffbe81f5dea8dp-1", None, "0x1.fa20da0d0b5b6p+2"),
+    ("slowmode", "0x1.7d783ffffffffp+27", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.b5414621954fep+4"),
+    ("floorround", "0x1.851eb84960399p-3", "0x1.5798ee2308c3ap-27", 'lambda_floor', "0x1.193ea7aad030ap+0"),
+    ("capround", "-0x1.888a1fb9fdf6fp+2", "0x1.3880000000000p+13", 'lambda_cap', "0x1.193ea7aad8000p+0"),
+]
+
+
+@pytest.mark.parametrize("name,energy,lam,flag,f_value", SOLVE_PINS)
+def test_exact_spectrum_solve_pinned_bit_for_bit(name, energy, lam, flag, f_value):
+    sol = solve_inverse_temperature(PINNED_SPECTRA[name], float.fromhex(energy))
+    assert (sol.lam.hex(), sol.flag, sol.f_value.hex()) == (lam, flag, f_value)
 
 
 # F of solve_inverse_temperature(log_power(q), E) for E in geomspace(0.5, 40, 10),
@@ -659,11 +774,19 @@ class TestScipyFreeKernels:
             a = -0.5 * energies + np.log(energies)
         assert _logsumexp(a) == float(logsumexp(a))
 
-    def test_logsumexp_non_finite_inputs_match(self):
-        for a in ([-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 1.0]):
-            a = np.array(a)
-            got, want = _logsumexp(a), float(logsumexp(a))
-            assert got == want or (math.isnan(got) and math.isnan(want))
+    @pytest.mark.parametrize("a", [
+        [2.0, -1.0, 2.0, 0.5, 2.0], [-np.inf, 0.3, -np.inf, -2.0], [-np.inf, -np.inf],
+        [np.inf, 1.0], [np.inf, np.inf, 0.0], [np.nan, 1.0], [0.37], [-np.inf], [np.inf],
+        [np.nan],
+    ], ids=["ties-at-max", "minus-inf-entries", "all-minus-inf", "plus-inf", "two-plus-inf",
+            "nan", "length-1", "length-1-minus-inf", "length-1-plus-inf", "length-1-nan"])
+    def test_edge_inputs_match_scipy(self, a):
+        a = np.array(a)
+        with np.errstate(all="ignore"):
+            got, want = _softmax(a), softmax(a)
+        assert np.array_equal(got, want, equal_nan=True)
+        got, want = _logsumexp(a), float(logsumexp(a))
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestLazyQuadrature:

@@ -20,10 +20,12 @@ from entrobound.verify import (
     SweepConfig,
     _anchor_probabilities,
     _diag_energy,
+    _hilbert_schmidt_draw,
     _sample_ensemble_pair,
     config_digest,
     default_sweep_suite,
     laa_check,
+    random_density_matrix,
     resolve_wiring,
     run_suite,
     run_sweep,
@@ -146,6 +148,12 @@ class TestSamplers:
 
     def test_anchor_sits_below_cap(self):
         assert self.anchor[1] < self.energy
+
+    def test_raw_draw_is_the_random_state_matrix(self):
+        # The mixed sampler draws the bare matrix; same stream, same bits.
+        state = random_density_matrix(np.random.default_rng(5), 16)
+        raw = _hilbert_schmidt_draw(np.random.default_rng(5), 16)
+        assert np.array_equal(state.matrix, raw)
 
     def test_mixed_pair_obeys_both_budgets(self):
         rng = np.random.default_rng(3)

@@ -24,6 +24,7 @@ from .bounds import EPSILON_MAX, PRESETS, continuity_bound, continuity_bound_fin
 from .ensembles import ordered_distance, transport_plan
 from .errors import BoundViolationError, NumericalError, ValidationError
 from .gibbs import (
+    DEFAULT_TRUNCATION,
     GibbsSolution,
     SpectrumModel,
     entropy_maximizer,
@@ -343,12 +344,11 @@ def _cmd_lemma2(args) -> int:
     )
     payload = jsonable(report)
     lines = [f"log-power exponent q: {args.q}"]
-    for lam, prod, e_val, f_val, method in zip(
-        report.lambdas, report.lambda_g, report.energies, report.f_values, report.methods
+    for lam, prod, e_val, f_val in zip(
+        report.lambdas, report.lambda_g, report.energies, report.f_values
     ):
         lines.append(
-            f"lam={lam:<8g} lam*lnZ={prod:<12.6g} mean energy={e_val:<14.6g} "
-            f"F={f_val:<12.6g} [{method}]"
+            f"lam={lam:<8g} lam*lnZ={prod:<12.6g} mean energy={e_val:<14.6g} F={f_val:.6g}"
         )
     if report.certified_lower is not None:
         lines.append(f"certified lower bound on lam*lnZ at lam={report.lambdas[-1]}: "
@@ -445,7 +445,7 @@ def build_parser() -> _Parser:
                               help="growth diagnostic for log-power spectra ln(k)^q")
     p_lemma2.add_argument("--q", type=float, required=True)
     p_lemma2.add_argument("--lambdas", type=_csv_floats, default=None)
-    p_lemma2.add_argument("--truncation", type=int, default=4096)
+    p_lemma2.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     p_lemma2.add_argument("--json", action="store_true")
     p_lemma2.set_defaults(handler=_cmd_lemma2)
 

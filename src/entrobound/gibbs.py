@@ -14,9 +14,10 @@ series is summed to its truncation and its remainder bounded by the
 comparison integral, so its ln Z is an upper bound, and so is every F
 taken from it: F(E) <= lam E + ln Z(lam) at every lam > 0 (the Gibbs
 variational bound), however far the solve converged.  That series plus
-integral is the one measure a log-power spectrum has: its mean energy
-is -d ln Z / d lam of the same ln Z, so the solve, ``gibbs --lam`` and
-``gibbs --energy`` all read one function.  The integral is an adaptive
+integral is the one measure a log-power spectrum has, finite at every
+lam > 0 and any truncation: its mean energy is -d ln Z / d lam of the
+same ln Z, so the solve, ``gibbs --lam``, ``gibbs --energy`` and the
+growth diagnostic all read one function.  The integral is an adaptive
 Gauss-Kronrod rule in numpy (``quad``), so no spectrum imports scipy.
 """
 from __future__ import annotations
@@ -335,16 +336,19 @@ def log_power_comparison_integral(q: float, lam: float) -> float:
     return math.exp(_logpower_log_integral(q, lam, 0.0))
 
 
-def _logpower_log_measure(model: SpectrumModel, lam: float, weighted: bool = False) -> float:
-    """ln(S_N + T_N) for a log-power spectrum, at power weight 0 or q.
+def _logpower_log_measure(model: SpectrumModel, lam: float,
+                          weighted: bool = False) -> tuple[float, float]:
+    """ln(S_N + T_N) for a log-power spectrum, at power weight 0 or q, as (lead, rest).
 
     S_N sums exp(-lam E_k) over the N = truncation retained levels
     E_k = ln(k)^q, each term times E_k when ``weighted``; T_N is the
     comparison integral from ln N at power weight 0, or q when weighted.
-    Unweighted this is the certified ln Z; weighted it is ln(-dZ/dlam)
-    of that same Z, so the two differ by ln of the measure's mean energy.
-    Where T_N exceeds S_N by more than a factor e^500 the truncation is
-    hopeless, and the NumericalError names the option that raises it.
+    Unweighted, lead + rest is the certified ln Z; weighted it is
+    ln(-dZ/dlam) of that same Z, so the two differ by ln of the
+    measure's mean energy.  The larger of S_N and T_N leads and the other
+    is log-added to it, which is finite at any ratio of the two: lead is
+    ln S_N, or else the integral's peak exponent, which both power
+    weights share, so a ratio of the two measures can cancel it exactly.
     """
     n = model.truncation
     energies = truncated_levels(model, n)
@@ -353,13 +357,11 @@ def _logpower_log_measure(model: SpectrumModel, lam: float, weighted: bool = Fal
         with np.errstate(divide="ignore"):
             log_terms = log_terms + np.log(energies)
     log_s = _logsumexp(log_terms)
-    gap = _logpower_log_integral(model.q, lam, math.log(n), model.q if weighted else 0.0) - log_s
-    if gap > 500.0:
-        raise NumericalError(
-            f"logpower(q={model.q}) truncation N={n} is hopeless at lam={lam!r}: the omitted "
-            f"tail dwarfs the sum. Raise the truncation (--truncation)"
-        )
-    return log_s + math.log1p(math.exp(gap))
+    top, rest = _logpower_integral_parts(model.q, lam, math.log(n), model.q if weighted else 0.0)
+    gap = top + rest - log_s
+    if gap <= 0.0:
+        return log_s, math.log1p(math.exp(gap))
+    return top, rest + math.log1p(math.exp(-gap))
 
 
 def certified_growth_lower(q: float, lam: float) -> float | None:
@@ -392,8 +394,9 @@ def log_partition(model: SpectrumModel, lam: float) -> float:
     Explicit spectra sum their levels.  Oscillator modes use the closed
     form sum(-x/2 - ln(1 - e^-x)), x = lam * frequency.  Log-power
     spectra sum N = truncation terms, S_N, and add the comparison
-    integral T_N of the remainder: ln S_N + log1p(T_N / S_N).  The
-    summand decreases in k, so T_N bounds the remainder from above.
+    integral T_N of the remainder: ln(S_N + T_N), the smaller log-added
+    to the larger.  The summand decreases in k, so T_N bounds the
+    remainder from above.
     """
     if lam <= 0:
         raise ValidationError(f"log_partition: lam={lam!r} must be positive")
@@ -401,7 +404,8 @@ def log_partition(model: SpectrumModel, lam: float) -> float:
         return _logsumexp(-lam * model.level_array)
     if model.kind == "oscillator":
         return sum(-0.5 * lam * f - _log1mexp(-lam * f) for f in model.frequencies)
-    return _logpower_log_measure(model, lam)
+    lead, rest = _logpower_log_measure(model, lam)
+    return lead + rest
 
 
 def _log1mexp(log_x: float) -> float:
@@ -443,8 +447,13 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
         return (total, spread) if variance else total
     if variance:
         raise ValidationError("mean_energy: the variance needs an exact ln Z, not a log-power series")
-    log_num = _logpower_log_measure(model, lam, weighted=True)
-    return math.exp(log_num - _logpower_log_measure(model, lam))
+    lead_num, rest_num = _logpower_log_measure(model, lam, weighted=True)
+    lead, rest = _logpower_log_measure(model, lam)
+    if lead_num == lead:
+        # Both led by the integral's peak exponent (3.5e78 at q = 1.1 and
+        # LAMBDA_FLOOR, where the ratio is 3.5e87): cancelled before rounding.
+        return math.exp(rest_num - rest)
+    return math.exp((lead_num + rest_num) - (lead + rest))
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +482,9 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
     safeguarded Newton iteration (_newton_solve), which probes an end of
     the clamp range only when its iterates reach it.  Log-power spectra
     check both ends first and bisect (_bisect_solve) on the mean of
-    their certified measure.  Both terminate when
-    |mean_energy(lam) - energy| <= SOLVE_RTOL * max(1, |energy|).  The
-    one refusal left is a log-power bisection that probes a lam where
-    the truncation is hopeless (see _logpower_log_measure).
+    their certified measure, which is finite at every lam and truncation.
+    Both terminate when |mean_energy(lam) - energy| <= SOLVE_RTOL *
+    max(1, |energy|).  A clamped lam still gives an upper bound on F.
     """
     ground = model.ground_energy
     scale = max(1.0, abs(ground))
@@ -498,14 +506,7 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
 
     if model.kind != "logpower":
         return build(*_newton_solve(model, energy, tol))
-    try:
-        floor_mean = mean_energy(model, LAMBDA_FLOOR)
-    except NumericalError:
-        # A log-power truncation is hopeless this close to lam = 0 (its
-        # mean there is past any E the series can carry), so the floor
-        # cannot be the answer.
-        floor_mean = math.inf
-    if floor_mean <= energy:
+    if mean_energy(model, LAMBDA_FLOOR) <= energy:
         return build(LAMBDA_FLOOR, "lambda_floor")
     if mean_energy(model, LAMBDA_CAP) >= energy:
         return build(LAMBDA_CAP, "lambda_cap")
@@ -746,7 +747,6 @@ class GrowthReport:
     energies: tuple[float, ...]
     f_values: tuple[float, ...]
     f_over_sqrt_e: tuple[float, ...]
-    methods: tuple[str, ...]
     verdict: str
     certified_lower: float | None = None
     notes: tuple[str, ...] = ()
@@ -757,10 +757,10 @@ def entropy_growth_diagnostic(model: SpectrumModel, lambdas=None) -> GrowthRepor
 
     Levels are measured from the ground energy, which keeps ln Z
     nonnegative and the product's decay toward zero readable; F values
-    are unaffected by the shift.  Log-power models switch from the
-    truncated series to the two-sided comparison integral once the
-    series tail stops being negligible, so small lam stays honest
-    without astronomically many terms.
+    are unaffected by the shift.  ln Z and the mean energy are
+    log_partition's and mean_energy's, so a log-power model reads the
+    certified series-plus-integral measure at every lam, however short
+    its truncation.
     """
     grid = tuple(float(x) for x in (lambdas if lambdas is not None else DEFAULT_LAMBDA_GRID))
     if not grid or any(x <= 0 for x in grid):
@@ -772,17 +772,13 @@ def entropy_growth_diagnostic(model: SpectrumModel, lambdas=None) -> GrowthRepor
     lambda_g = []
     energies = []
     f_values = []
-    methods = []
     notes = []
     for lam in grid:
-        g_val, method = _g_estimate(model, lam)
-        e_val = _mean_energy_estimate(model, lam, method)
-        g_shifted = g_val + lam * ground
-        e_shifted = e_val - ground
+        g_shifted = log_partition(model, lam) + lam * ground
+        e_shifted = mean_energy(model, lam) - ground
         lambda_g.append(lam * g_shifted)
         energies.append(e_shifted)
         f_values.append(lam * e_shifted + g_shifted)
-        methods.append(method)
 
     certified = None
     if model.kind == "logpower":
@@ -815,36 +811,10 @@ def entropy_growth_diagnostic(model: SpectrumModel, lambdas=None) -> GrowthRepor
         energies=tuple(energies),
         f_values=tuple(f_values),
         f_over_sqrt_e=tuple(ratios),
-        methods=tuple(methods),
         verdict=verdict,
         certified_lower=certified,
         notes=tuple(notes),
     )
-
-
-def _g_estimate(model: SpectrumModel, lam: float) -> tuple[float, str]:
-    if model.kind != "logpower":
-        return log_partition(model, lam), "series"
-    # The truncated series serves while its remainder is negligible.
-    log_s = _logsumexp(-lam * truncated_levels(model, model.truncation))
-    log_tail = _logpower_log_integral(model.q, lam, math.log(model.truncation))
-    if log_tail - log_s <= math.log(max(1e-9 * abs(log_s), 1e-12)):
-        return log_s, "series"
-    log_i = _logpower_log_integral(model.q, lam, 0.0)
-    lower = log_i
-    upper = math.log(math.exp(log_i) + 1.0) if log_i < 700 else log_i
-    return 0.5 * (lower + upper), "integral"
-
-
-def _mean_energy_estimate(model: SpectrumModel, lam: float, method: str) -> float:
-    if method == "series":
-        return mean_energy(model, lam)
-    # The comparison integral's mean.  Both integrals share the peak
-    # term, 3.5e68 at q = 1.1 and lam = 1e-7, while their logs differ by
-    # under 200, so it is cancelled before rounding.
-    _, log_num = _logpower_integral_parts(model.q, lam, 0.0, model.q)
-    _, log_den = _logpower_integral_parts(model.q, lam, 0.0, 0.0)
-    return math.exp(log_num - log_den)
 
 
 def log_power_growth_diagnostic(q: float, lambdas=None, truncation: int = DEFAULT_TRUNCATION) -> GrowthReport:

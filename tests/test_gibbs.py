@@ -135,9 +135,12 @@ class TestPartitionFunction:
         with pytest.raises(ValidationError):
             log_partition(TWO_LEVEL, 0.0)
 
-    def test_hopeless_truncation_fails_loudly(self):
-        with pytest.raises(NumericalError):
-            log_partition(SpectrumModel.log_power(1.2, truncation=50), 0.001)
+    def test_short_truncation_stays_finite(self):
+        # At lam = 1e-3 the tail past N = 50 is e^(6.7e13) times the series,
+        # and past N = 4096 just as much: the integral carries both ln Z.
+        value = log_partition(SpectrumModel.log_power(1.2, truncation=50), 0.001)
+        assert math.isfinite(value)
+        assert value == pytest.approx(log_partition(SpectrumModel.log_power(1.2), 0.001), rel=1e-12)
 
 
 class TestMeanEnergy:
@@ -169,9 +172,20 @@ class TestMeanEnergy:
             grid = [mean_energy(model, lam) for lam in (0.3, 0.6, 1.2, 2.4)]
             assert all(a > b for a, b in zip(grid, grid[1:]))
 
-    def test_hopeless_truncation_fails_loudly(self):
-        with pytest.raises(NumericalError, match=r"N=50 is hopeless.*--truncation"):
-            mean_energy(SpectrumModel.log_power(1.2, truncation=50), 0.001)
+    def test_short_truncation_stays_finite(self):
+        assert math.isfinite(mean_energy(SpectrumModel.log_power(1.2, truncation=50), 0.001))
+
+    @pytest.mark.parametrize("truncation", [4096, 50])
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 3.0])
+    def test_floor_mean_is_finite_and_above_the_next_decade(self, q, truncation):
+        # Both logs of the ratio share the integral's peak exponent, 3.5e78
+        # at q = 1.1; rounded before it cancels, their difference reads 0.
+        model = SpectrumModel.log_power(q, truncation=truncation)
+        floor = mean_energy(model, LAMBDA_FLOOR)
+        assert math.isfinite(floor)
+        assert floor > mean_energy(model, 1e-7)
+        if q == 1.1:
+            assert floor == pytest.approx(3.5049e87, rel=1e-4)
 
 
 class TestInverseTemperatureSolve:
@@ -482,10 +496,14 @@ class TestLogPowerBisection:
         solve_inverse_temperature(SpectrumModel.log_power(2.5), 37.5)
         assert len(calls) <= 60
 
-    def test_hopeless_solution_names_the_truncation_to_raise(self):
-        # lam(1e9) lies below about 1.7e-5, where N = 4096 is hopeless.
-        with pytest.raises(NumericalError, match=r"q=2\.5\) truncation N=4096.*--truncation"):
-            solve_inverse_temperature(SpectrumModel.log_power(2.5), 1e9)
+    @pytest.mark.parametrize("q,energy", [(2.0, 2.9e5), (2.5, 7.7e6), (3.0, 2.2e8), (2.5, 1e9)])
+    def test_tail_led_solution_matches_a_long_truncation(self, q, energy):
+        # The bisection probes lam where the integral past N = 4096 exceeds
+        # the series by more than e^500; the solve still lands, unclamped,
+        # on the F of a series about 50 times longer.
+        sol = assert_solves(SpectrumModel.log_power(q), energy)
+        longer = solve_inverse_temperature(SpectrumModel.log_power(q, truncation=200_000), energy)
+        assert sol.f_value == pytest.approx(longer.f_value, rel=1e-9, abs=0.0)
 
     def test_variance_needs_an_exact_log_partition(self):
         with pytest.raises(ValidationError, match="exact ln Z"):
@@ -729,11 +747,14 @@ class TestGrowthDiagnostics:
         report = log_power_growth_diagnostic(1.5, lambdas=(0.5, 0.2, 0.1))
         assert report.verdict == "inconsistent"
 
-    def test_short_truncation_switches_to_the_integral(self):
-        # At lam = 0.01 a 100-term series is hopeless (log_partition
-        # raises); the diagnostic reads the comparison integral instead.
-        report = log_power_growth_diagnostic(1.5, lambdas=(0.1, 0.01), truncation=100)
-        assert report.methods == ("integral", "integral")
+    def test_short_truncation_reads_the_certified_measure(self):
+        # At lam = 0.01 the integral past N = 100 is e^(1.5e3) times the
+        # series; the diagnostic reads the same ln Z and mean as the solve.
+        lambdas = (0.1, 0.01)
+        model = SpectrumModel.log_power(1.5, truncation=100)
+        report = log_power_growth_diagnostic(1.5, lambdas=lambdas, truncation=100)
+        assert report.lambda_g == tuple(lam * log_partition(model, lam) for lam in lambdas)
+        assert report.energies == tuple(mean_energy(model, lam) for lam in lambdas)
         assert report.verdict == "inconsistent"
 
 

@@ -5,9 +5,10 @@ Hamiltonian.  The maximum entropy among states with mean energy <= E is
 attained by the Gibbs state at the inverse temperature lam(E) solving
 the mean-energy equation, and equals ``lam * E + ln Z(lam)``.  Where
 ln Z is exact (explicit levels, oscillator modes) the mean energy comes
-with its variance, which is -d mean / d lam, and the solve is a
-safeguarded Newton iteration that checks the clamps on lam only when its
-iterates reach them; a log-power solve checks both clamps, then bisects.
+with its variance, which is -d mean / d lam.  Every spectrum takes one
+solve, a safeguarded Newton iteration on lam that checks the clamps on
+lam only when its iterates reach them; a log-power spectrum, which has no
+exact variance, takes the bracket's geometric midpoint at every step.
 
 ln Z is exact for explicit levels and oscillator modes.  A log-power
 series is summed to its truncation and its remainder bounded by the
@@ -23,6 +24,7 @@ Gauss-Kronrod rule in numpy (``quad``), so no spectrum imports scipy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +252,11 @@ def quad(func, a: float, b: float, args=()) -> float:
 # ---------------------------------------------------------------------------
 
 
+# ln of the largest float, less a margin far above the rounding of the
+# log-space peak exponent (about 1e-10 even at q = 1 + 1e-6).
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-6
+
+
 def _logpower_log_integral(q: float, lam: float, u0: float, power_weight: float = 0.0) -> float:
     """ln of integral_{u0}^inf u^power_weight * exp(u - lam u^q) du.
 
@@ -268,10 +275,14 @@ def _logpower_integral_parts(q: float, lam: float, u0: float,
     (huge peaks) cannot overflow.  It does not depend on the power
     weight, so a ratio of two weights at the same (q, lam, u0) is
     exp(rest - rest'), free of the cancellation of two logs near top.
+    Where the peak's u^q overflows a float (q near 1 at small lam), so
+    does every mean energy there, and the integral is (inf, 0.0).
     """
     if lam <= 0:
         raise ValidationError("logpower integral: lam must be positive")
     u0 = max(u0, 0.0)
+    if -math.log(lam * q) * q / (q - 1.0) > _LOG_FLOAT_MAX:
+        return math.inf, 0.0
     u_peak = (1.0 / (lam * q)) ** (1.0 / (q - 1.0))
 
     def phi(u):
@@ -325,15 +336,6 @@ def _logpower_integral_parts(q: float, lam: float, u0: float,
             f"logpower integral: quadrature collapsed at q={q}, lam={lam!r}, u0={u0!r}"
         )
     return top, log_w_center + math.log(scale * total)
-
-
-def log_power_comparison_integral(q: float, lam: float) -> float:
-    """I(lam) = integral_1^inf exp(-lam ln(x)^q) dx.
-
-    The series sum_{k>=1} exp(-lam ln(k)^q) lies in [I(lam), I(lam) + 1]
-    because the integrand decreases in x.
-    """
-    return math.exp(_logpower_log_integral(q, lam, 0.0))
 
 
 def _logpower_log_measure(model: SpectrumModel, lam: float,
@@ -451,8 +453,9 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
     lead, rest = _logpower_log_measure(model, lam)
     if lead_num == lead:
         # Both led by the integral's peak exponent (3.5e78 at q = 1.1 and
-        # LAMBDA_FLOOR, where the ratio is 3.5e87): cancelled before rounding.
-        return math.exp(rest_num - rest)
+        # LAMBDA_FLOOR, where the ratio is 3.5e87): cancelled before
+        # rounding.  An infinite one leaves an infinite mean.
+        return math.exp(rest_num - rest) if lead < math.inf else math.inf
     return math.exp((lead_num + rest_num) - (lead + rest))
 
 
@@ -478,39 +481,22 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
     lam is clamped to [LAMBDA_FLOOR, LAMBDA_CAP]; a clamped solve is
     flagged rather than silently accepted: "lambda_floor" when E is at or
     above the floor's mean, else "lambda_cap" when E is at or below the
-    cap's.  Explicit and oscillator spectra, whose ln Z is exact, take a
-    safeguarded Newton iteration (_newton_solve), which probes an end of
-    the clamp range only when its iterates reach it.  Log-power spectra
-    check both ends first and bisect (_bisect_solve) on the mean of
-    their certified measure, which is finite at every lam and truncation.
-    Both terminate when |mean_energy(lam) - energy| <= SOLVE_RTOL *
-    max(1, |energy|).  A clamped lam still gives an upper bound on F.
+    cap's.  Every spectrum takes the safeguarded Newton iteration of
+    _newton_solve, which probes an end of the clamp range only when its
+    iterates reach it and stops when |mean_energy(lam) - energy| <=
+    SOLVE_RTOL * max(1, |energy|).  A log-power spectrum is solved on
+    the mean of its certified measure, which is finite at every lam and
+    truncation.  A clamped lam still gives an upper bound on F.
     """
     ground = model.ground_energy
-    scale = max(1.0, abs(ground))
-    if energy < ground - 1e-9 * scale:
+    if energy < ground - 1e-9 * max(1.0, abs(ground)):
         raise ValidationError(
             f"solve_inverse_temperature: energy {energy!r} below the ground energy {ground!r}"
         )
-    tol = SOLVE_RTOL * max(1.0, abs(energy))
-
-    def build(lam: float, flag: str | None) -> GibbsSolution:
-        log_z = log_partition(model, lam)
-        return GibbsSolution(
-            lam=lam,
-            energy=energy,
-            f_value=lam * energy + log_z,
-            log_z=log_z,
-            flag=flag,
-        )
-
-    if model.kind != "logpower":
-        return build(*_newton_solve(model, energy, tol))
-    if mean_energy(model, LAMBDA_FLOOR) <= energy:
-        return build(LAMBDA_FLOOR, "lambda_floor")
-    if mean_energy(model, LAMBDA_CAP) >= energy:
-        return build(LAMBDA_CAP, "lambda_cap")
-    return build(_bisect_solve(model, energy, tol), None)
+    lam, flag = _newton_solve(model, energy, SOLVE_RTOL * max(1.0, abs(energy)))
+    log_z = log_partition(model, lam)
+    return GibbsSolution(lam=lam, energy=energy, f_value=lam * energy + log_z,
+                         log_z=log_z, flag=flag)
 
 
 def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[float, str | None]:
@@ -522,15 +508,17 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
     to linear at both ends: the excess mean - E0 goes as modes / lam for
     small lam and as exp(-gap lam) for large lam.  An explicit excess
     tends to the mean level minus E0 as lam -> 0, where g flattens in u,
-    so explicit levels try the same step in lam first, lam (1 + du).
+    so explicit levels try the same step in lam first, lam (1 + du).  A
+    log-power spectrum has no exact variance, so it takes no step.
 
     The bracket starts at [LAMBDA_FLOOR, LAMBDA_CAP], unchecked, and
-    shrinks with every probe; a step that leaves it, or an excess or
-    variance that underflows, takes the bracket's geometric midpoint
-    instead.  The start ln(1 + modes gap / x) / gap, with x = energy - E0
-    and gap the lowest excitation, solves a single mode exactly and tends
-    to modes / x at high energy.  The probe that meets the tolerance
-    returns its own Newton step when that stays in the bracket.
+    shrinks with every probe; without a step, or with one that leaves
+    it, or with an excess or variance that underflows, the iteration
+    takes the bracket's geometric midpoint instead.  The start
+    ln(1 + modes gap / x) / gap, with x = energy - E0 and gap the lowest
+    excitation, solves a single mode exactly and tends to modes / x at
+    high energy.  The probe that meets the tolerance returns its own
+    Newton step when that stays in the bracket.
 
     Since the mean decreases in lam, a probe whose mean lies above E by
     more than the tolerance rules the floor out, and one below it by more
@@ -542,6 +530,7 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
     ground = model.ground_energy
     excess_target = energy - ground
     explicit = model.kind == "explicit"
+    exact = model.kind != "logpower"
     floor_out = cap_out = False
 
     def clamped():
@@ -555,8 +544,10 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
 
     if explicit:
         modes, gap = 1, next((x - ground for x in model.levels if x > ground), None)
-    else:
+    elif exact:
         modes, gap = len(model.frequencies), min(model.frequencies)
+    else:
+        modes, gap = 1, math.log(2.0) ** model.q
     if excess_target <= 0.0 or gap is None:
         # At or below E0 a clamp holds unless the cap's mean rounds below
         # E, and then the cap is within that rounding of E.  Without an
@@ -565,7 +556,10 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
     lo, hi = LAMBDA_FLOOR, LAMBDA_CAP
     lam = min(max(math.log1p(modes * gap / excess_target) / gap, lo), hi)
     for _ in range(200):
-        mean, var = mean_energy(model, lam, variance=True)
+        if exact:
+            mean, var = mean_energy(model, lam, variance=True)
+        else:
+            mean, var = mean_energy(model, lam), 0.0
         converged = abs(mean - energy) <= tol
         if mean > energy:
             lo = lam
@@ -598,34 +592,6 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
     )
 
 
-def _bisect_solve(model: SpectrumModel, energy: float, tol: float) -> float:
-    """Bracketed bisection for lam with mean_energy(lam) = energy (log-power spectra).
-
-    The mean of the certified measure decreases in lam, since its ln Z
-    is convex.  The bracket doubles up from lam = 1, then halves until
-    the tolerance is met or its midpoint is no longer strictly inside
-    it, that is, until lo and hi are adjacent doubles.
-    """
-    lo, hi = LAMBDA_FLOOR, 1.0
-    while hi < LAMBDA_CAP:
-        if mean_energy(model, hi) <= energy:
-            break
-        lo, hi = hi, min(hi * 2.0, LAMBDA_CAP)
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        value = mean_energy(model, mid)
-        if abs(value - energy) <= tol:
-            return mid
-        if value > energy:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    raise NumericalError(
-        f"solve_inverse_temperature: bisection did not reach |mean - E| <= {tol!r}"
-    )
-
-
 def max_entropy(model: SpectrumModel, energy: float) -> float:
     """Largest entropy among states of mean energy <= E, in nats.
 
@@ -636,10 +602,7 @@ def max_entropy(model: SpectrumModel, energy: float) -> float:
     inactive and the value is ln(d).
     """
     ground = model.ground_energy
-    scale = max(1.0, abs(ground))
-    if energy < ground - 1e-9 * scale:
-        raise ValidationError(f"max_entropy: energy {energy!r} below the ground energy {ground!r}")
-    if abs(energy - ground) <= GROUND_TOL * scale:
+    if abs(energy - ground) <= GROUND_TOL * max(1.0, abs(ground)):
         return math.log(model.ground_multiplicity)
     return entropy_maximizer(model, energy).f_value
 

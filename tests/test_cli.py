@@ -171,6 +171,22 @@ class TestGibbsCommand:
         assert payload["flag"] is None
         assert all(math.isfinite(payload[key]) for key in ("energy", "max_entropy", "log_partition"))
 
+    @pytest.mark.parametrize("extra, line", [
+        ([], "max entropy: 7.59198436578 nats"),
+        (["--truncation", "100000"], "max entropy: 7.59197992312 nats"),
+    ])
+    def test_exponent_near_one_solves(self, capsys, extra, line):
+        # At q = 1.01 the peak's u^q passes the largest float below
+        # lam = 8.8e-4; those probes read +inf and the solve moves past them.
+        assert main(["gibbs", "--logpower", "1.01", "--energy", "5", *extra]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_exponent_near_one_solves_at_huge_energy(self, capsys):
+        assert main(["gibbs", "--logpower", "1.01", "--energy", "1e30", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flag"] is None
+        assert payload["lambda"] == pytest.approx(0.4996, rel=1e-4)
+
 
 class TestBoundCommand:
     def test_oscillator_closed_form_frozen(self, capsys):
@@ -259,6 +275,12 @@ class TestBoundCommand:
                    "--energy", "3", "--truncation", "100000"])
         assert rc == 0
         assert "bound: 3.11462544519 nats" in capsys.readouterr().out.splitlines()
+
+    def test_logpower_exponent_near_one_bound(self, capsys):
+        rc = main(["bound", "--logpower", "1.01", "--preset", "entropy", "--epsilon", "0.1",
+                   "--energy", "1", "--json"])
+        assert rc == 0
+        assert math.isfinite(json.loads(capsys.readouterr().out)["value"])
 
     def test_dim_b_refuses_energy(self, capsys):
         rc = main(["bound", "--preset", "entropy", "--dim-b", "8", "--epsilon", "0.1",

@@ -26,7 +26,6 @@ from entrobound.gibbs import (
     gibbs_family_distance,
     gibbs_state,
     log_partition,
-    log_power_comparison_integral,
     log_power_growth_diagnostic,
     max_entropy,
     mean_energy,
@@ -254,6 +253,11 @@ def assert_solves(model, energy):
     assert sol.flag is None
     assert abs(mean_energy(model, sol.lam) - energy) <= SOLVE_RTOL * max(1.0, abs(energy))
     assert sol.f_value == sol.lam * energy + log_partition(model, sol.lam)
+    # F(E) is the minimum over lam of lam E + ln Z(lam), so the solved F
+    # lies below that sum 1e-4 relative either side of the solved lam.
+    for lam in (sol.lam * (1.0 - 1e-4), sol.lam * (1.0 + 1e-4)):
+        phi = lam * energy + log_partition(model, lam)
+        assert sol.f_value <= phi + 1e-12 * abs(phi), lam
     return sol
 
 
@@ -459,20 +463,23 @@ SERIES_MEAN_F = {
 }
 
 
-class TestLogPowerBisection:
-    # lam and F printed by the bisection before the Newton solve was added
-    # for exact spectra.  E = 10 (q = 2.5) and E = 25 (q = 3) moved when the
-    # probed mean became that of the series plus its tail integral: lam by
-    # 1.8e-8 and 1.3e-9 relative, F by one ulp.
+class TestLogPowerSolve:
+    # lam and F of the Newton iteration, which takes the bracket's
+    # geometric midpoint at every log-power step.
     @pytest.mark.parametrize("q,energy,lam,f_value", [
-        (2.5, 3.0, "0x1.1fc2c503853b8p-2", "0x1.376524d90d8ecp+1"),
-        (2.5, 10.0, "0x1.f538ef031a862p-4", "0x1.d463f5483d5e2p+1"),
-        (3.0, 2.0, "0x1.316cddf08e8d0p-2", "0x1.edecc3fe6b21cp+0"),
-        (3.0, 25.0, "0x1.77e2f4bf53852p-5", "0x1.0270dd591666ap+2"),
+        (2.5, 3.0, "0x1.1fc2c503d7dedp-2", "0x1.376524d90d8ecp+1"),
+        (2.5, 10.0, "0x1.f538ef04ff214p-4", "0x1.d463f5483d5e1p+1"),
+        (3.0, 2.0, "0x1.316cddecc9896p-2", "0x1.edecc3fe6b21bp+0"),
+        (3.0, 25.0, "0x1.77e2f4c19cd27p-5", "0x1.0270dd591666ap+2"),
     ])
     def test_pinned_bit_for_bit(self, q, energy, lam, f_value):
         sol = solve_inverse_temperature(SpectrumModel.log_power(q), energy)
         assert (sol.lam.hex(), sol.f_value.hex(), sol.flag) == (lam, f_value, None)
+
+    @given(q=st.floats(1.5, 4.0), energy=st.floats(0.5, 1e6))
+    @settings(max_examples=20, deadline=None)
+    def test_meets_the_tolerance(self, q, energy):
+        assert_solves(SpectrumModel.log_power(q), energy)
 
     @pytest.mark.parametrize("q", sorted(SERIES_MEAN_F))
     def test_every_energy_solves_and_kept_values_stay(self, q):
@@ -489,16 +496,27 @@ class TestLogPowerBisection:
         longer = solve_inverse_temperature(SpectrumModel.log_power(2.5, truncation=100_000), 37.5)
         assert longer.f_value <= sol.f_value <= longer.f_value + 1e-6
 
-    def test_formerly_refused_solve_stays_within_the_probe_budget(self, monkeypatch):
-        # Log-power solves take 29-37 probes on the geomspace(0.5, 40) grid;
-        # E = 37.5, past what N = 4096 terms carry, is no exception.
+    @pytest.mark.parametrize("q", [2.5, 3.0])
+    def test_probe_count_guard(self, monkeypatch, q):
+        # The bisection took 29-37 probes per solve on this grid.
         calls = counting_probes(monkeypatch)
-        solve_inverse_temperature(SpectrumModel.log_power(2.5), 37.5)
-        assert len(calls) <= 60
+        for energy in np.geomspace(0.5, 40.0, 10):
+            calls.clear()
+            solve_inverse_temperature(SpectrumModel.log_power(q), float(energy))
+            assert len(calls) <= 37, energy
+
+    def test_probe_count_guard_at_high_energy(self, monkeypatch):
+        # Midpoints in ln lam keep the count flat in E; the bisection's
+        # arithmetic midpoints took 54 probes at E = 1e12.
+        calls = counting_probes(monkeypatch)
+        for energy in np.geomspace(1.0, 1e12, 12):
+            calls.clear()
+            solve_inverse_temperature(SpectrumModel.log_power(2.0), float(energy))
+            assert len(calls) <= 40, energy
 
     @pytest.mark.parametrize("q,energy", [(2.0, 2.9e5), (2.5, 7.7e6), (3.0, 2.2e8), (2.5, 1e9)])
     def test_tail_led_solution_matches_a_long_truncation(self, q, energy):
-        # The bisection probes lam where the integral past N = 4096 exceeds
+        # The solve probes lam where the integral past N = 4096 exceeds
         # the series by more than e^500; the solve still lands, unclamped,
         # on the F of a series about 50 times longer.
         sol = assert_solves(SpectrumModel.log_power(q), energy)
@@ -664,7 +682,7 @@ class TestLogPowerIntegral:
                 / (2 * math.sqrt(lam))
                 * erfc(-0.5 / math.sqrt(lam))
             )
-            got = log_power_comparison_integral(2.0, lam)
+            got = math.exp(gibbs_mod._logpower_log_integral(2.0, lam, 0.0))
             assert abs(got - closed) <= 1e-12 * closed
 
     def test_series_within_integral_bracket_q3(self):
@@ -672,7 +690,7 @@ class TestLogPowerIntegral:
         model = SpectrumModel.log_power(3.0)
         for lam in (0.5, 0.2, 0.1):
             series = math.exp(log_partition(model, lam))
-            integral = log_power_comparison_integral(3.0, lam)
+            integral = math.exp(gibbs_mod._logpower_log_integral(3.0, lam, 0.0))
             assert integral - 1e-9 <= series <= integral + 1.0 + 1e-9
 
     @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 2.5, 3.0, 5.0])
@@ -707,6 +725,15 @@ class TestLogPowerIntegral:
         assert all(math.isfinite(v) for v in values)
         assert values[0] > values[1] > values[2]
         assert values[1] == pytest.approx(3.50494e68, rel=1e-5)
+
+    def test_overflowing_peak_reads_infinite(self):
+        # At q = 1.01 the peak's u^q passes the largest float below
+        # lam = 8.8e-4: ln Z and the mean read +inf there, finite above.
+        model = SpectrumModel.log_power(1.01)
+        for lam in (LAMBDA_FLOOR, 8.7e-4):
+            assert log_partition(model, lam) == mean_energy(model, lam) == math.inf
+        assert math.isfinite(log_partition(model, 8.8e-4))
+        assert 1e308 < mean_energy(model, 8.8e-4) < math.inf
 
     def test_exhausted_panel_budget_raises(self, monkeypatch):
         monkeypatch.setattr(gibbs_mod, "QUAD_PANEL_BUDGET", 20)

@@ -525,19 +525,24 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
     rules the cap out; nearer E, rounding could put the end's computed
     mean on either side.  Before it returns or takes a midpoint, the
     iteration probes each end not yet ruled out, floor first, and returns
-    that end, flagged, if E lies past its mean.
+    that end, flagged, if E lies past its mean.  An end an iterate sat on
+    is not probed again: its probe's mean is reused.
     """
     ground = model.ground_energy
     excess_target = energy - ground
     explicit = model.kind == "explicit"
     exact = model.kind != "logpower"
     floor_out = cap_out = False
+    means = {}  # lam -> mean of every probe so far
+
+    def mean_at(end):
+        return means[end] if end in means else mean_energy(model, end)
 
     def clamped():
         nonlocal floor_out, cap_out
-        if not floor_out and mean_energy(model, LAMBDA_FLOOR) <= energy:
+        if not floor_out and mean_at(LAMBDA_FLOOR) <= energy:
             return LAMBDA_FLOOR, "lambda_floor"
-        if not cap_out and mean_energy(model, LAMBDA_CAP) >= energy:
+        if not cap_out and mean_at(LAMBDA_CAP) >= energy:
             return LAMBDA_CAP, "lambda_cap"
         floor_out = cap_out = True
         return None
@@ -560,6 +565,7 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
             mean, var = mean_energy(model, lam, variance=True)
         else:
             mean, var = mean_energy(model, lam), 0.0
+        means[lam] = mean
         converged = abs(mean - energy) <= tol
         if mean > energy:
             lo = lam

@@ -100,14 +100,6 @@ def load_ensemble(path: str) -> Ensemble:
     return decode_ensemble(load_json(path))
 
 
-def encode_spectrum(model: SpectrumModel) -> dict:
-    if model.kind == "explicit":
-        return {"kind": "explicit", "levels": [float(x) for x in model.levels]}
-    if model.kind == "oscillator":
-        return {"kind": "oscillator", "frequencies": [float(x) for x in model.frequencies]}
-    return {"kind": "logpower", "q": float(model.q), "truncation": model.truncation}
-
-
 def decode_spectrum(obj) -> SpectrumModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("spectrum object must be a JSON object with a 'kind' field")

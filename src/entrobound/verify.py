@@ -40,7 +40,7 @@ from .operators import (
     partial_trace,
     trace_norm,
 )
-from .serialization import canonical_json, encode_spectrum, sha256_hex, write_csv
+from .serialization import canonical_json, sha256_hex, write_csv
 
 RETRY_BUDGET = 10_000
 MARGIN_TOL = -1e-9
@@ -64,11 +64,16 @@ CSV_COLUMNS = (
 # Functional builders: (dims, constrained levels, channel) -> f.  The
 # functionals are looked up in this module when called, never bound here.
 
-def _entropy(dims, levels, channel):
+def _on_first_factor(dims, f):
+    """f of the first factor's marginal; f itself on a single factor."""
     if len(dims) == 1:
-        return lambda rho: von_neumann_entropy(rho)
+        return f
     shape = SubsystemShape(dims)
-    return lambda rho: von_neumann_entropy(partial_trace(rho, shape, keep=(0,)))
+    return lambda rho: f(partial_trace(rho, shape, keep=(0,)))
+
+
+def _entropy(dims, levels, channel):
+    return _on_first_factor(dims, lambda rho: von_neumann_entropy(rho))
 
 
 def _cond_entropy(dims, levels, channel):
@@ -93,7 +98,8 @@ def _coherence(dims, levels, channel):
 
 
 def _channel_mi(dims, levels, channel):
-    return lambda rho: channel_mi(channel, rho)
+    # A pure sweep draws purifications and feeds the channel their input marginal.
+    return _on_first_factor(dims, lambda rho: channel_mi(channel, rho))
 
 
 def _holevo(dims, levels, channel):
@@ -135,10 +141,12 @@ class Quantity:
     count a sweep accepts, max None for no limit; ``laa_factors`` is the
     count laa-check takes, None when it does not check the quantity.
     ``energy`` is the default sweep energy, None when the quantity is not
-    swept.  ``oscillator`` bounds with the unit oscillator instead of the
-    explicit levels; ``channel`` is the default channel of a channel
-    quantity; ``ensemble`` sweeps pairs of ensembles instead of states;
-    ``reference`` draws extra per-trial arguments of f in laa-check.
+    swept.  A sweep bounds with F of its own constraint levels, the
+    spectrum its states are drawn on.  ``pure_dims`` replaces ``dims``
+    in a pure sweep, whose extra factors f traces out.  ``channel`` is
+    the default channel of a channel quantity; ``ensemble`` sweeps pairs
+    of ensembles instead of states; ``reference`` draws extra per-trial
+    arguments of f in laa-check.
     """
 
     preset: str
@@ -148,7 +156,6 @@ class Quantity:
     factors: tuple = (1, 1)
     laa_factors: int | None = None
     axes: tuple = (0, 1)
-    oscillator: bool = False
     energy: float | None = None
     channel: tuple | None = None
     ensemble: bool = False
@@ -157,15 +164,15 @@ class Quantity:
 
 QUANTITIES = {
     "entropy": Quantity("entropy", _entropy, dims=(16,), pure_dims=(16, 2), factors=(1, None),
-                        laa_factors=1, oscillator=True, energy=2.0),
+                        laa_factors=1, energy=2.0),
     "cond-entropy": Quantity("cond-entropy", _cond_entropy, dims=(4, 4), factors=(2, 2),
                              laa_factors=2, axes=(1, None), energy=1.5),
     "mutual-info": Quantity("mutual-info", _mutual_info, dims=(2, 2, 4), factors=(2, None),
                             laa_factors=2, axes=(1, None), energy=2.0),
     "ree": Quantity("ree", _relative_entropy, laa_factors=1, reference=_ree_reference),
     "gibbs-red": Quantity("ree", _coherence, dims=(8,), laa_factors=1, energy=3.0),
-    "channel-mi": Quantity("channel-mi", _channel_mi, dims=(16,), oscillator=True, energy=2.0,
-                           channel=("attenuator", (0.8,))),
+    "channel-mi": Quantity("channel-mi", _channel_mi, dims=(16,), pure_dims=(16, 2),
+                           energy=2.0, channel=("attenuator", (0.8,))),
     "holevo": Quantity("holevo", _holevo, dims=(8,), energy=3.0, ensemble=True),
 }
 
@@ -284,7 +291,6 @@ class FamilyWiring:
     dims: tuple
     constraint_axes: tuple
     base_levels: tuple
-    bound_model: SpectrumModel
     lifted_levels: np.ndarray = field(repr=False)
     f: object = field(repr=False)
     channel: Channel | None = None
@@ -297,13 +303,12 @@ def _lift_levels(dims, constraint_axes, base_levels) -> np.ndarray:
 
 
 def resolve_wiring(config: SweepConfig) -> FamilyWiring:
-    """Fill in the quantity's defaults: dims, constraint levels, bound model, f."""
+    """Fill in the quantity's defaults: dims, constraint levels, f."""
     q = QUANTITIES[config.family]
     dims = config.dims
     if not dims:
         dims = q.pure_dims if config.pure and q.pure_dims else q.dims
     axes, base = _constraint(q, dims)
-    model = SpectrumModel.oscillator((1.0,)) if q.oscillator else SpectrumModel.explicit(base)
     channel = None
     if q.channel is not None:
         kind, params = config.channel if config.channel is not None else q.channel
@@ -313,7 +318,6 @@ def resolve_wiring(config: SweepConfig) -> FamilyWiring:
         dims=dims,
         constraint_axes=axes,
         base_levels=base,
-        bound_model=model,
         lifted_levels=_lift_levels(dims, axes, base),
         f=q.build(dims, base, channel),
         channel=channel,
@@ -338,7 +342,6 @@ def config_digest(config: SweepConfig, wiring: FamilyWiring | None = None) -> st
         "dims": list(wiring.dims),
         "constraint_axes": list(wiring.constraint_axes),
         "base_levels": list(wiring.base_levels),
-        "bound_model": encode_spectrum(wiring.bound_model),
         "channel": None if config.channel is None else
             [config.channel[0], list(config.channel[1])],
         "ensemble_size": config.ensemble_size,
@@ -377,19 +380,18 @@ def _diag_energy(matrix: np.ndarray, lifted: np.ndarray) -> float:
     return float(np.real(np.diagonal(matrix) @ lifted))
 
 
-def _anchor_lambda(base_levels, energy: float) -> float:
+def _anchor_lambda(model: SpectrumModel, energy: float) -> float:
     """Inverse temperature of the Gibbs state of the constraint levels at
     ground + ANCHOR_FRACTION (energy - ground): the mixed and boundary
     samplers' anchor and the pure sampler's damping.
     """
-    ground = float(min(base_levels))
+    ground = model.ground_energy
     target = ground + ANCHOR_FRACTION * (energy - ground)
-    return solve_inverse_temperature(SpectrumModel.explicit(base_levels), target).lam
+    return solve_inverse_temperature(model, target).lam
 
 
-def _anchor_probabilities(lifted: np.ndarray, base_levels, energy: float) -> np.ndarray:
-    """Diagonal Gibbs-like anchor with constraint energy below the cap."""
-    lam = _anchor_lambda(base_levels, energy)
+def _anchor_probabilities(lifted: np.ndarray, lam: float) -> np.ndarray:
+    """Diagonal Gibbs anchor at inverse temperature lam on the lifted levels."""
     weights = np.exp(-lam * (lifted - lifted.min()))
     return weights / weights.sum()
 
@@ -549,18 +551,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """Execute a sweep; returns every row plus the violating subset."""
     wiring = resolve_wiring(config)
     lifted = wiring.lifted_levels
-    ground = float(lifted.min())
-    if config.energy <= ground:
+    # The one spectrum of the sweep: states are drawn on it and bounded with its F.
+    model = SpectrumModel.explicit(wiring.base_levels)
+    if config.energy <= model.ground_energy:
         raise ValidationError(
-            f"sweep energy {config.energy} must exceed the ground level {ground}"
+            f"sweep energy {config.energy} must exceed the ground level {model.ground_energy}"
         )
-    anchor = None
-    damping = None
-    if config.sampler == "pure":
-        damping = _anchor_lambda(wiring.base_levels, config.energy)
-    else:
-        anchor_p = _anchor_probabilities(lifted, wiring.base_levels, config.energy)
-        anchor = (anchor_p, float(anchor_p @ lifted))
+    lam = _anchor_lambda(model, config.energy)
+    anchor_p = _anchor_probabilities(lifted, lam)
+    anchor = (anchor_p, float(anchor_p @ lifted))
 
     ensemble = QUANTITIES[config.family].ensemble
 
@@ -573,7 +572,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         else:
             first, second, _ = sample_state_pair(
                 rng, lifted, config.energy, eps, config.sampler,
-                anchor=anchor, damping=damping,
+                anchor=anchor, damping=lam,
             )
         f_rho = wiring.f(first)
         f_sigma = wiring.f(second)
@@ -592,7 +591,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     rows = []
     for eps_idx, eps in enumerate(config.epsilons):
         res = continuity_bound(
-            wiring.preset, wiring.bound_model, eps, config.energy, pure=config.pure
+            wiring.preset, model, eps, config.energy, pure=config.pure
         )
         rows.extend(
             run_one(eps_idx, eps, res.value, trial)

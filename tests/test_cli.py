@@ -494,6 +494,19 @@ class TestVerifyCommand:
     def test_family_or_suite_required(self, capsys):
         assert main(["verify", "--trials", "2"]) == 1
 
+    def test_pure_flag_form_used_by_the_benchmark(self, capsys):
+        # perfbench/workloads.py::verify_command passes --pure next to
+        # --sampler pure; the flag stays even though the sampler implies it.
+        rc = main(["verify", "--family", "channel-mi", "--trials", "1", "--epsilons", "0.1",
+                   "--energy", "2.0", "--seed", "1", "--sampler", "pure", "--pure",
+                   "--channel", "attenuator:0.8"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [ln for ln in lines if not ln.startswith("#")][1:]
+        assert len(rows) == 1
+        margin = float(rows[0].split(",")[verify_mod.CSV_COLUMNS.index("margin")])
+        assert margin >= verify_mod.MARGIN_TOL
+
     def test_violation_exits_two(self, tmp_path, monkeypatch, capsys):
         def broken_bound(preset, model, eps, energy, pure=False):
             return SimpleNamespace(value=0.0)

@@ -364,6 +364,17 @@ class TestNewtonSolve:
         ends = [lam for lam in calls if lam in (LAMBDA_FLOOR, LAMBDA_CAP)]
         assert len(ends) <= 1
 
+    @pytest.mark.parametrize("model,energy,lam", [
+        (SpectrumModel.log_power(2.0), 1e16, LAMBDA_FLOOR),
+        (SINGLE_MODE, 1e9, LAMBDA_FLOOR),
+        (SpectrumModel.explicit((0.0, 1e-6)), 2.5e-7, LAMBDA_CAP),
+    ], ids=["logpower", "oscillator", "explicit"])
+    def test_an_iterate_on_a_clamp_end_is_not_probed_again(self, monkeypatch, model, energy, lam):
+        # The start clamps onto the end, whose probe then decides the flag.
+        calls = counting_probes(monkeypatch)
+        assert solve_inverse_temperature(model, energy).lam == lam
+        assert calls == [lam]
+
 
 PINNED_SPECTRA = {
     "explicit16": SpectrumModel.explicit(range(16)),

@@ -2,6 +2,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from entrobound.serialization import (
     decode_spectrum,
     encode_ensemble,
     encode_matrix,
-    encode_spectrum,
     format_float,
     jsonable,
     load_density,
@@ -95,18 +95,22 @@ class TestEnsembleCodec:
             decode_ensemble(obj)
 
 
+FORMATS_DOC = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+
 class TestSpectrumCodec:
-    @pytest.mark.parametrize(
-        "model",
-        [
-            SpectrumModel.explicit((0.0, 1.0, 1.5)),
-            SpectrumModel.oscillator((1.0, 2.5)),
-            SpectrumModel.log_power(2.0),
-            SpectrumModel.log_power(2.5, truncation=100),
-        ],
-    )
-    def test_round_trip(self, model):
-        assert decode_spectrum(json.loads(json.dumps(encode_spectrum(model)))) == model
+    @pytest.mark.parametrize("text,model", [
+        ('{"kind": "explicit",   "levels": [0.0, 1.0, 3.5]}',
+         SpectrumModel.explicit((0.0, 1.0, 3.5))),
+        ('{"kind": "oscillator", "frequencies": [1.0, 2.0]}',
+         SpectrumModel.oscillator((1.0, 2.0))),
+        ('{"kind": "logpower",   "q": 2.5, "truncation": 4096}',
+         SpectrumModel.log_power(2.5, truncation=4096)),
+    ])
+    def test_decodes_the_documented_objects(self, text, model):
+        # Each object is a line of the Spectrum JSON example in docs/formats.md.
+        assert text in FORMATS_DOC.read_text(encoding="utf-8").splitlines()
+        assert decode_spectrum(json.loads(text)) == model
 
     def test_logpower_truncation_decoded(self):
         model = decode_spectrum({"kind": "logpower", "q": 2.5, "truncation": 100})

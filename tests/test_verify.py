@@ -12,12 +12,13 @@ from entrobound.bounds import continuity_bound
 from entrobound.cli import build_parser
 from entrobound.entropy import relative_entropy, relative_entropy_of_coherence
 from entrobound.errors import ValidationError
-from entrobound.gibbs import SpectrumModel, gibbs_state, solve_inverse_temperature
+from entrobound.gibbs import SpectrumModel, gibbs_state, max_entropy, solve_inverse_temperature
 from entrobound.operators import DensityMatrix, HermitianOperator
 from entrobound.verify import (
     LAA_QUANTITIES,
     SWEEP_FAMILIES,
     SweepConfig,
+    _anchor_lambda,
     _anchor_probabilities,
     _diag_energy,
     _hilbert_schmidt_draw,
@@ -103,7 +104,6 @@ class TestResolveWiring:
         w = resolve_wiring(SweepConfig(family="entropy", energy=2.0, seed=1))
         assert w.dims == (16,)
         assert w.preset == "entropy"
-        assert w.bound_model.kind == "oscillator"
         assert w.base_levels == tuple(float(k) for k in range(16))
 
     def test_gibbs_red_uses_ree_preset(self):
@@ -115,6 +115,21 @@ class TestResolveWiring:
         w = resolve_wiring(SweepConfig(family="channel-mi", energy=2.0, seed=1))
         assert w.channel is not None
         assert "attenuator" in w.channel.name
+
+    def test_pure_channel_sweep_feeds_the_channel_a_marginal(self):
+        # A pure input has I(B:R) = 0 whatever the channel, so the pure
+        # sweep draws purifications on 16 x 2 and traces out the ancilla.
+        w = resolve_wiring(SweepConfig(family="channel-mi", energy=2.0, seed=1,
+                                       sampler="pure", pure=True))
+        assert w.dims == (16, 2)
+        assert w.channel.dim_in == 16
+        assert np.array_equal(w.lifted_levels, np.repeat(np.arange(16.0), 2))
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        rho = DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        marginal = verify_mod.partial_trace(rho, verify_mod.SubsystemShape((16, 2)), keep=(0,))
+        assert w.f(rho) == verify_mod.channel_mi(w.channel, marginal)
+        assert w.f(rho) > 1e-3
 
     def test_lifted_levels_cond_entropy(self):
         # Constraint on the second factor of a 4 x 4 system: the level
@@ -143,7 +158,8 @@ class TestSamplers:
     def setup_method(self):
         self.lifted = np.arange(4.0)
         self.energy = 1.5
-        anchor_p = _anchor_probabilities(self.lifted, LEVELS4, self.energy)
+        lam = _anchor_lambda(SpectrumModel.explicit(LEVELS4), self.energy)
+        anchor_p = _anchor_probabilities(self.lifted, lam)
         self.anchor = (anchor_p, float(anchor_p @ self.lifted))
 
     def test_anchor_sits_below_cap(self):
@@ -321,25 +337,57 @@ class TestConfigDigest:
 
 # config_digest of each default_sweep_suite() config, in suite order.
 # The digest hashes canonical JSON only, so it is the same on every
-# platform; a change here means dims, constraint axes, levels, bound
-# model or default channel of a battery sweep drifted.
+# platform; a change here means dims, constraint axes, levels or default
+# channel of a battery sweep drifted.
 SUITE_DIGESTS = (
-    ("entropy", False, "e73cabda8da94488aae73a270b8921ad04dfb538249c09c838810b07942b7274"),
-    ("cond-entropy", False, "c32f6248ba7b18da112b33826f59916d8db7931241eea0744e32d2d3df42bec1"),
-    ("mutual-info", False, "442b3c766064b8d8ca357e1f094b7b788b077d170b9c79fd47cd0c6d5c12590d"),
-    ("gibbs-red", False, "45502f60b62a516102bf14779b48bf8f4d2f1b1cf4155f125cd2be9afae99aaa"),
-    ("holevo", False, "343a0bbddedbadaba6256b931678cc40b2093b61230e08f4d59fd20016514e13"),
-    ("channel-mi", False, "539c3343e3ce0dc01d111698de73863352976a5bad0dfb71ce9e570d1fe2f926"),
-    ("channel-mi", False, "b8f7f16c6bbd4e27f6b64fb16b7d376221ca24054e28b69953b5d457f504e211"),
-    ("channel-mi", False, "b2ecf845359bee92f9bad5f8c6b0623a88bb915c780cfd87ee8bb565c9afd778"),
-    ("channel-mi", False, "f78fb984e4d952ec8f67854cc142bf113be4ea585c22dc8d7711cfc665526f0a"),
-    ("channel-mi", False, "40a01160ebfc27685408cf995d15d2a55b6a78b6d81c54ffc36f65d621e07f68"),
-    ("entropy", True, "e74b9da8b4232fa48d5825264342166b88216b2d6ec3368b711f0a696690801e"),
-    ("cond-entropy", True, "792b8cdbf9174949ff0a1ec937f9bcc8f8ecdc593a7f78a1cbd862892eb9b32b"),
-    ("mutual-info", True, "17c9884b6f4726bea2f3a133d0b0da962ad4b673aae4164dd9fbdcbb4f749db4"),
-    ("gibbs-red", True, "a5271cbdf4dfa2a16b28f33b0c5df892505d279d006adbde7e6e518aa0928069"),
-    ("channel-mi", True, "c48ea27a1738e46bffc0eae19d5a6122445001eb1c618293e61ef7c1d197d506"),
+    ("entropy", False, "b0f3b0dfcb94c0db647730740f6ddf1a2a55b1da23e9bd68344c1d322b13374b"),
+    ("cond-entropy", False, "742f554776721863af878d3cb11c69307bec767b11108a9646bdfb1b0fd26a31"),
+    ("mutual-info", False, "7927f16235fe778b3ac5382618df0e4b8ceb71c1923c70a1c5e0793ec11f7f8d"),
+    ("gibbs-red", False, "e8885866bd4588ffb324a89b2692f46e12d57cdbf9f54b92b418283515b6de20"),
+    ("holevo", False, "dd8601ade2f0f8ce786429d306595021a8fdedf7ccd19dd848dfaf5bb5214a82"),
+    ("channel-mi", False, "50d913b09754267998aa24baf5ae9b11e16462f390994df831c6d491a7332615"),
+    ("channel-mi", False, "fc72db385ea65213c9eca2850052fb328fea2abee0d53dacbb4868653d31bfcf"),
+    ("channel-mi", False, "900a8e5690ac967d883b2001fbdd9edd50087b8919caceab43e4fd8c8e323c59"),
+    ("channel-mi", False, "5dfd3271250c02c5c36c95358fe88955f8bfd633426c2b827fecee9980600aa0"),
+    ("channel-mi", False, "8bf2107ee0e30ec3e5042187d2b45a87bc568eed165a298f145130beeb936991"),
+    ("entropy", True, "810668fc010b86de4464fe30cbdd6d914bec730d8fc036c343b71aeb2fd985bb"),
+    ("cond-entropy", True, "41f244be6419ce211bc03d47b6dc3dc37108225c084bc4387a4339a6b0516c4c"),
+    ("mutual-info", True, "4e68436a46f7b63002a370ede7a326f2387dd71fdfc0d966d2c080b8ac9e17c0"),
+    ("gibbs-red", True, "e76e1c874c2381c56af36ad8e943296e1b09f696789c6825a0e13f80a54d9b88"),
+    ("channel-mi", True, "e5c26b65699f252adaf4c97c6583a7f29f803969116088694972576932fe2c35"),
 )
+
+
+@pytest.fixture(scope="module")
+def small_suite():
+    """(config, report) of every default_sweep_suite(trials=2) sweep."""
+    return [(config, run_sweep(config)) for config in default_sweep_suite(trials=2)]
+
+
+class TestOneSpectrumPerSweep:
+    def test_bound_column_is_the_bound_of_the_constraint_levels(self, small_suite):
+        # The states are drawn on the constraint levels, so F is theirs.
+        for config, report in small_suite:
+            w = resolve_wiring(config)
+            model = SpectrumModel.explicit(w.base_levels)
+            for row in report.rows:
+                want = continuity_bound(w.preset, model, row.epsilon, config.energy,
+                                        pure=config.pure).value
+                assert row.bound == want, (config.family, config.channel, row.epsilon)
+
+    def test_entropy_bound_at_half_epsilon(self):
+        # delta = sqrt(2 eps) = 1: F_{0..15}(E / eps) + g(1), with g(1) = 2 ln 2.
+        # The unit oscillator gave 3.7700, below what states on 0..15 reach.
+        report = run_sweep(SweepConfig(family="entropy", energy=2.0, seed=1, trials=1,
+                                       epsilons=(0.5,)))
+        want = max_entropy(SpectrumModel.explicit(range(16)), 4.0) + 2.0 * math.log(2.0)
+        assert report.rows[0].bound == pytest.approx(want, rel=1e-12)
+        assert report.rows[0].bound == pytest.approx(3.8515, abs=5e-5)
+
+    def test_every_sweep_sees_a_difference(self, small_suite):
+        # A sweep whose f never moves cannot fail, whatever its bound.
+        for config, report in small_suite:
+            assert max(row.abs_diff for row in report.rows) > 1e-9, (config.family, config.pure)
 
 
 class TestSuite:

@@ -1,9 +1,7 @@
 """Quantum channels in Kraus form and channel information quantities.
 
 Channels map a d_in-dimensional system to a d_out-dimensional one via
-rho -> sum_k K_k rho K_k^dag with sum_k K_k^dag K_k = I.  The
-Stinespring isometry orders the output as (system, environment), in
-keeping with the first-factor-major convention of the package.
+rho -> sum_k K_k rho K_k^dag with sum_k K_k^dag K_k = I.
 """
 from __future__ import annotations
 
@@ -105,6 +103,23 @@ class Channel:
         v.flags.writeable = False
         return c_min, v
 
+    @cached_property
+    def choi_adjoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """``choi_split``'s vectors V_c, adjoined for ``channel_mi``'s two products.
+
+        ``(out, env)``: ``out`` stacks the V_c^dag into a
+        (k * dim_in, dim_out) column, and ``env`` is the
+        (dim_out * dim_in, k) matrix whose column c is conj(vec(V_c)).
+        With A_c = V_c rho, N(rho) = [A_1 ... A_k] out and
+        N^c(rho) = [vec(A_1) ... vec(A_k)]^T env.
+        """
+        _, v = self.choi_split
+        out = v.conj().transpose(0, 2, 1).reshape(-1, self.dim_out)
+        env = v.reshape(len(v), -1).conj().T
+        out.flags.writeable = False
+        env.flags.writeable = False
+        return out, env
+
 
 def apply_channel(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     if rho.dim != channel.dim_in:
@@ -144,54 +159,47 @@ def apply_local(channel: Channel, rho: DensityMatrix, shape: SubsystemShape, whi
     return DensityMatrix(out.reshape(total, total))
 
 
-def stinespring(channel: Channel) -> np.ndarray:
-    """Isometry V with V rho V^dag = sum_k (K_k rho K_l^dag) x |k><l|.
-
-    The environment sits in the second tensor slot, so tracing out the
-    last factor of V rho V^dag recovers the channel output.
-    """
-    n_env = len(channel.kraus)
-    v = np.zeros((channel.dim_out * n_env, channel.dim_in), dtype=complex)
-    for idx, k in enumerate(channel.kraus):
-        unit = np.zeros((n_env, 1), dtype=complex)
-        unit[idx, 0] = 1.0
-        v += np.kron(k, unit)
-    return v
-
-
 def channel_mi(channel: Channel, rho: DensityMatrix) -> float:
     """Mutual information I(B:R) between channel output B and an input reference R.
 
-    The input is purified as X = U sqrt(Lambda), with the reference R in
-    rho's eigenbasis, so rho_R = Lambda.  The channel's Stinespring output
-    is pure over (B, E, R), so I(B:R) = H(R) + H(B) - H(BR), where
+    A purification of rho sent through the channel's Stinespring isometry
+    is pure over (B, E, R), so I(B:R) = H(R) + H(B) - H(BR) with
     H(R) = H(rho) and H(BR) = H(E).  With the Choi split
-    C = c_min I + V V^dag (``Channel.choi_split``) and blocks
-    B_c = V_c X, N(rho) = c_min I + sum_c B_c B_c^dag.  When c_min = 0,
-    H(E) comes from the k x k Gram matrix of the blocks.  Otherwise the
+    C = c_min I + V V^dag (``Channel.choi_split``), the k vectors V_c form
+    a Kraus set of the channel minus its floor.  When c_min = 0 that is
+    the whole channel, and both outputs come from rho itself:
+    B = N(rho) = sum_c V_c rho V_c^dag and E = N^c(rho), the complementary
+    channel's k x k output N^c(rho)_{cc'} = Tr(V_c rho V_c'^dag), so
+    I(B:R) = H(rho) + H(N(rho)) - H(N^c(rho)).  When c_min > 0 the input
+    is purified as X = U sqrt(Lambda), with R in rho's eigenbasis, and
+    with blocks B_c = V_c X, N(rho) = c_min I + sum_c B_c B_c^dag; the
     joint state is c_min (I_B x Lambda) + W W^dag, W holding the
     vectorized blocks, and ``_floored_joint_spectrum`` takes its spectrum
     from a matrix of size min(k, dim_out) * dim_in.  Which side runs is a
-    property of the channel; at d = 16 depolarizing has c_min > 0 and k = 1,
-    so no 256 x 256 matrix is decomposed after the split.
+    property of the channel; at d = 16 only depolarizing has c_min > 0,
+    and no 256 x 256 matrix is decomposed after the split.
     """
     if rho.dim != channel.dim_in:
         raise ValidationError(
             f"channel_mi: state dim {rho.dim} != channel input dim {channel.dim_in}"
         )
     c_min, v = channel.choi_split
+    k, d_out = len(v), channel.dim_out
+    if c_min == 0.0:
+        out, env = channel.choi_adjoints
+        # Rows c * d_out + i of a hold the blocks A_c = V_c rho.
+        a = v.reshape(-1, rho.dim) @ rho.matrix
+        rho_b = DensityMatrix(a.reshape(k, d_out, -1).transpose(1, 0, 2).reshape(d_out, -1) @ out)
+        rho_e = DensityMatrix(a.reshape(k, -1) @ env)
+        return von_neumann_entropy(rho) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho_e)
     x = purify(rho).vector.reshape(rho.dim, rho.dim)
     # blocks[c] = V_c X, one (dim_out, dim_ref) block per Choi vector.
     blocks = v @ x
-    per_output = blocks.transpose(1, 0, 2).reshape(channel.dim_out, -1)
-    rho_b = DensityMatrix(per_output @ per_output.conj().T + c_min * np.eye(channel.dim_out))
-    if c_min == 0.0:
-        flat = blocks.reshape(len(blocks), -1)
-        h_env = von_neumann_entropy(DensityMatrix(flat @ flat.conj().T))
-    else:
-        lam = np.sum(np.abs(x) ** 2, axis=0)
-        h_env = spectrum_entropy(_floored_joint_spectrum(c_min, lam, blocks))
-    return von_neumann_entropy(rho) + von_neumann_entropy(rho_b) - h_env
+    per_output = blocks.transpose(1, 0, 2).reshape(d_out, -1)
+    rho_b = DensityMatrix(per_output @ per_output.conj().T + c_min * np.eye(d_out))
+    lam = np.sum(np.abs(x) ** 2, axis=0)
+    h_joint = spectrum_entropy(_floored_joint_spectrum(c_min, lam, blocks))
+    return von_neumann_entropy(rho) + von_neumann_entropy(rho_b) - h_joint
 
 
 def _floored_joint_spectrum(c_min: float, lam: np.ndarray, blocks: np.ndarray) -> np.ndarray:

@@ -66,7 +66,9 @@ def spectrum_entropy(w: np.ndarray) -> float:
     """-sum w ln w in nats over the eigenvalues above the spectral cutoff."""
     cut = EIGENVALUE_CUTOFF * float(np.max(np.abs(w))) if w.size else 0.0
     w = w[w > cut]
-    return float(_eta(w).sum())
+    # Every kept eigenvalue is > 0, so ln needs no mask.  Negating each term,
+    # not the sum, keeps a pure state's entropy +0.0, as the masked form had it.
+    return float(np.sum(-w * np.log(w)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

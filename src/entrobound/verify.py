@@ -172,7 +172,7 @@ QUANTITIES = {
     "ree": Quantity("ree", _relative_entropy, laa_factors=1, reference=_ree_reference),
     "gibbs-red": Quantity("ree", _coherence, dims=(8,), laa_factors=1, energy=3.0),
     "channel-mi": Quantity("channel-mi", _channel_mi, dims=(16,), pure_dims=(16, 2),
-                           energy=2.0, channel=("attenuator", (0.8,))),
+                           factors=(1, None), energy=2.0, channel=("attenuator", (0.8,))),
     "holevo": Quantity("holevo", _holevo, dims=(8,), energy=3.0, ensemble=True),
 }
 
@@ -245,7 +245,14 @@ class SweepConfig:
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if self.dims:
-            _check_factors(f"a {self.family} sweep", self.dims, *QUANTITIES[self.family].factors)
+            q = QUANTITIES[self.family]
+            _check_factors(f"a {self.family} sweep", self.dims, *q.factors)
+            if self.pure and q.pure_dims and len(self.dims) < len(q.pure_dims):
+                ancilla = self.dims + q.pure_dims[len(self.dims):]
+                raise ValidationError(
+                    f"a pure {self.family} sweep needs an ancilla factor that f traces out, "
+                    f"as in dims {ancilla}; on dims {self.dims} f is 0 for every pure state"
+                )
         if self.channel is not None:
             kind, params = self.channel
             object.__setattr__(self, "channel", (str(kind), tuple(float(p) for p in params)))

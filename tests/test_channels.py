@@ -1,4 +1,4 @@
-"""Kraus channels, Stinespring dilation, channel information quantities."""
+"""Kraus channels and channel information quantities."""
 import math
 import re
 
@@ -19,7 +19,6 @@ from entrobound.channels import (
     identity_channel,
     make_channel,
     output_holevo,
-    stinespring,
 )
 from entrobound.ensembles import Ensemble
 from entrobound.entropy import holevo_chi, von_neumann_entropy
@@ -247,23 +246,6 @@ class TestApplyLocal:
             apply_local(ch, rho, SubsystemShape((2, 3)), 2)
 
 
-class TestStinespring:
-    def test_isometry_property(self):
-        for ch in channel_zoo(3):
-            v = stinespring(ch)
-            assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
-
-    def test_tracing_environment_recovers_channel(self, rng):
-        rho = random_density(rng, 3)
-        for ch in channel_zoo(3):
-            v = stinespring(ch)
-            dilated = DensityMatrix(v @ rho.matrix @ v.conj().T)
-            n_env = len(ch.kraus)
-            reduced = partial_trace(dilated, (ch.dim_out, n_env), (0,))
-            direct = apply_channel(ch, rho)
-            assert np.allclose(reduced.matrix, direct.matrix, atol=1e-10)
-
-
 class TestChannelMi:
     def test_identity_channel_gives_twice_entropy(self, rng):
         rho = random_density(rng, 3)
@@ -277,41 +259,60 @@ class TestChannelMi:
 
     def test_matches_stinespring_dilation_route(self, rng):
         # Independent route: purify the input with numpy, lift the
-        # Stinespring isometry V on the system half, and take
-        # I(B:R) = H(B) + H(R) - H(BR) of the full (B, E, R) output vector.
-        # The zoo has a Choi floor c_min > 0 (depolarizing, one Choi vector)
-        # and c_min = 0 (the rest); the random channels add c_min > 0 with
-        # several Choi vectors, and rectangular maps on both sides.
+        # Stinespring isometry V = sum_k K_k x |k> on the system half, and
+        # take I(B:R) = H(B) + H(R) - H(BR) of the full (B, E, R) output
+        # vector.  The zoo has a Choi floor c_min > 0 (depolarizing, one
+        # Choi vector) and c_min = 0 (the rest); the random channels add
+        # c_min > 0 with several Choi vectors, c_min = 0 with one Choi
+        # vector short of d_out * d_in, and rectangular maps both ways.
         def entropy(mat):
             w = np.linalg.eigvalsh(mat)
             w = w[w > 1e-300]
             return float(-np.sum(w * np.log(w)))
 
-        for d in (2, 3, 4, 5):
-            inputs = []
-            for rank in (d, d - 1, 1):
+        def dilation_mi(ch, rho):
+            d = rho.dim
+            w, u = np.linalg.eigh(rho.matrix)
+            psi = u * np.sqrt(np.clip(w, 0.0, None))
+            n_env = len(ch.kraus)
+            iso = np.stack(ch.kraus, axis=1).reshape(ch.dim_out * n_env, d)
+            out = (iso @ psi).reshape(ch.dim_out, n_env, d)
+            rho_br = np.einsum("ber,cet->brct", out, out.conj())
+            rho_br = rho_br.reshape(ch.dim_out * d, ch.dim_out * d)
+            return (entropy(np.einsum("ber,cer->bc", out, out.conj()))
+                    + entropy(np.einsum("ber,bet->rt", out, out.conj()))
+                    - entropy(rho_br))
+
+        def with_ranks(d, ranks):
+            states = []
+            for rank in ranks:
                 g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-                inputs.append(DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real))
-            inputs.append(DensityMatrix(np.eye(d) / d))
+                states.append(DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real))
+            return states
+
+        cases = []
+        for d in (2, 3, 4, 5):
             channels = channel_zoo(d) + [
                 random_kraus_channel(rng, d, d, d * d, "full-rank"),
+                random_kraus_channel(rng, d, d, d * d - 1, "corank-1"),
                 noisy_unitaries_channel(rng, d),
                 random_kraus_channel(rng, d, d + 1, 2, "rect-low-rank"),
                 random_kraus_channel(rng, d, d + 1, d * (d + 1), "rect-full-rank"),
             ]
-            for rho in inputs:
-                w, u = np.linalg.eigh(rho.matrix)
-                psi = u * np.sqrt(np.clip(w, 0.0, None))
-                for ch in channels:
-                    n_env = len(ch.kraus)
-                    out = (stinespring(ch) @ psi).reshape(ch.dim_out, n_env, d)
-                    rho_br = np.einsum("ber,cet->brct", out, out.conj())
-                    rho_br = rho_br.reshape(ch.dim_out * d, ch.dim_out * d)
-                    expected = (entropy(np.einsum("ber,cer->bc", out, out.conj()))
-                                + entropy(np.einsum("ber,bet->rt", out, out.conj()))
-                                - entropy(rho_br))
-                    assert channel_mi(ch, rho) == pytest.approx(expected, abs=1e-10), \
-                        (ch.name, d, np.linalg.matrix_rank(rho.matrix))
+            if d > 2:
+                channels.append(random_kraus_channel(rng, d, d - 1, 2, "rect-narrowing"))
+            inputs = with_ranks(d, (d, d - 1, 1)) + [DensityMatrix(np.eye(d) / d)]
+            cases += [(ch, rho) for ch in channels for rho in inputs]
+        # d = 16, the sweeps' size: rank-1 and rank-deficient inputs.
+        cases += [(ch, rho) for ch in channel_zoo(16) for rho in with_ranks(16, (1, 5, 15))]
+        for ch, rho in cases:
+            c_min, v = ch.choi_split
+            if ch.name == "corank-1":
+                assert c_min == 0.0 and len(v) == ch.dim_out * ch.dim_in - 1
+            elif ch.name in ("rect-low-rank", "rect-narrowing"):
+                assert c_min == 0.0 and len(v) == 2
+            assert channel_mi(ch, rho) == pytest.approx(dilation_mi(ch, rho), abs=1e-10), \
+                (ch.name, rho.dim, np.linalg.matrix_rank(rho.matrix))
 
     @pytest.mark.parametrize("kind,params,joint_sized", [
         ("attenuator", (0.8,), 0), ("depolarizing", (0.25,), 1),
@@ -319,8 +320,8 @@ class TestChannelMi:
     def test_decomposes_at_most_one_joint_sized_matrix(self, rng, monkeypatch,
                                                        kind, params, joint_sized):
         # d = 16, first call on a fresh plain Kraus family: attenuator has
-        # 16 Kraus operators and no Choi floor, so H(E) comes from a 16x16
-        # Gram matrix; depolarizing has 257 > 16 * 16, so its 256x256 Choi
+        # 16 Kraus operators and no Choi floor, so H(E) comes from the 16x16
+        # output N^c(rho); depolarizing has 257 > 16 * 16, so its 256x256 Choi
         # matrix is decomposed once, for the split, and nothing else is
         # (depolarizing_channel itself sets the split in closed form).
         ch = fresh_channel(kind, 16, params)
@@ -342,26 +343,32 @@ class TestChannelMi:
     def test_no_joint_sized_decomposition_after_the_choi_split(self, rng, monkeypatch):
         # d = 16: the first call on a fresh channel splits its Choi matrix;
         # only depolarizing, with 257 > 16 * 16 Kraus operators, decomposes
-        # the 256x256 Choi matrix for it.  After the split nothing larger
-        # than the input dimension is decomposed.
+        # the 256x256 Choi matrix for it.  After the split a channel with
+        # no Choi floor validates its two outputs, N(rho) and N^c(rho), with
+        # one eigvalsh each and purifies nothing; depolarizing, the one
+        # zoo channel with a floor, purifies rho with one eigh.  Nothing
+        # larger than the input dimension is decomposed.
         rho = random_density(rng, 16)
-        sizes = []
+        calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
 
-            def recording(a, *args, _original=original, **kwargs):
-                sizes.append(np.shape(a)[0])
+            def recording(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, np.shape(a)[0]))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
         for kind, params in CHANNEL_ZOO_SPECS:
             ch = fresh_channel(kind, 16, params)
-            sizes.clear()
+            calls.clear()
             channel_mi(ch, rho)
-            assert sizes.count(256) <= (1 if kind == "depolarizing" else 0), kind
-            sizes.clear()
+            assert [n for _, n in calls].count(256) <= (1 if kind == "depolarizing" else 0), kind
+            calls.clear()
             channel_mi(ch, rho)
-            assert sizes and max(sizes) <= 16, kind
+            names = [name for name, _ in calls]
+            floored = kind == "depolarizing"
+            assert (names.count("eigh"), names.count("eigvalsh")) == (int(floored), 2), kind
+            assert max(n for _, n in calls) <= 16, kind
 
     def test_full_depolarizing_gives_zero(self, rng):
         rho = random_density(rng, 3)

@@ -507,6 +507,27 @@ class TestVerifyCommand:
         margin = float(rows[0].split(",")[verify_mod.CSV_COLUMNS.index("margin")])
         assert margin >= verify_mod.MARGIN_TOL
 
+    PURE = ["verify", "--trials", "2", "--epsilons", "0.1", "--energy", "2.0", "--seed", "1",
+            "--sampler", "pure", "--pure", "--out", "-"]
+
+    @pytest.mark.parametrize("family", ["entropy", "channel-mi"])
+    def test_pure_sweep_without_an_ancilla_exits_one(self, capsys, family):
+        # f of a pure state on a single factor is 0, so the sweep could not fail.
+        rc = main(self.PURE + ["--family", family, "--dims", "16"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ancilla" in captured.err and "(16, 2)" in captured.err
+
+    def test_pure_channel_sweep_accepts_an_ancilla(self, capsys):
+        rc = main(self.PURE + ["--family", "channel-mi", "--dims", "16,2"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+        col = verify_mod.CSV_COLUMNS.index("abs_diff")
+        assert len(rows) == 2
+        assert max(float(r[col]) for r in rows) > 1e-9
+
     def test_violation_exits_two(self, tmp_path, monkeypatch, capsys):
         def broken_bound(preset, model, eps, energy, pure=False):
             return SimpleNamespace(value=0.0)

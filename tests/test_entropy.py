@@ -6,12 +6,15 @@ import pytest
 
 from entrobound.ensembles import Ensemble, qc_state
 from entrobound.entropy import (
+    EIGENVALUE_CUTOFF,
+    _eta,
     binary_entropy,
     checked_sub,
     conditional_entropy,
     holevo_chi,
     mutual_information,
     relative_entropy,
+    spectrum_entropy,
     thermal_entropy,
     von_neumann_entropy,
 )
@@ -107,6 +110,26 @@ class TestVonNeumann:
         assert von_neumann_entropy(DensityMatrix(np.diag(p))) == pytest.approx(
             expected, abs=1e-12
         )
+
+    @pytest.mark.parametrize("kind", ["random", "rank-1", "near-zero-padded"])
+    def test_spectrum_entropy_is_bit_identical_to_the_masked_sum(self, rng, kind):
+        # The masked form _eta kept by binary_entropy is the reference; on
+        # the eigenvalues above the cutoff, all > 0, the plain sum agrees
+        # bit for bit.
+        for _ in range(20):
+            if kind == "random":
+                w = np.sort(rng.dirichlet(np.ones(16)))
+            elif kind == "rank-1":
+                w = np.zeros(16)
+                w[-1] = 1.0
+            else:
+                w = rng.dirichlet(np.ones(5))
+                pad = rng.choice([0.0, -1e-17, 1e-18, 1e-13, 3e-12], size=11)
+                w = np.sort(np.concatenate([w * (1.0 - pad.sum()), pad]))
+            cut = EIGENVALUE_CUTOFF * float(np.max(np.abs(w)))
+            expected = float(_eta(w[w > cut]).sum())
+            got = spectrum_entropy(w)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
 
     def test_unitary_invariance(self, rng):
         rho = random_density(rng, 4)

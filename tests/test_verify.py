@@ -150,8 +150,9 @@ class TestResolveWiring:
     def test_dim_shape_validation(self):
         with pytest.raises(ValidationError):
             resolve_wiring(SweepConfig(family="cond-entropy", energy=1.0, seed=1, dims=(4,)))
-        with pytest.raises(ValidationError):
-            resolve_wiring(SweepConfig(family="channel-mi", energy=1.0, seed=1, dims=(4, 2)))
+        # channel-mi takes an ancilla after its channel input, as entropy does.
+        assert resolve_wiring(SweepConfig(family="channel-mi", energy=1.0, seed=1,
+                                          dims=(4, 2))).channel.dim_in == 4
 
 
 class TestSamplers:

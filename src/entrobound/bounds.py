@@ -12,30 +12,27 @@ Every bound is one template in a step delta and an envelope value F:
   |f(rho) - f(sigma)| <= (c_minus + c_plus) delta F + (a + b) g(delta)
 
 with g the bosonic entropy function.  ``continuity_bound`` takes
-delta = sqrt(2 eps) and F(E / eps) from an envelope, for trace distance
-eps <= 1/2 and energy <= E; ``continuity_bound_finite`` takes
-delta = eps and F = ln dim_B, for eps <= 1.  The pure-state variants
+delta = sqrt(2 eps) and F = max_entropy of a spectrum at
+E0 + (E - E0) / eps, for trace distance eps <= 1/2 and energy <= E:
+the template's F(E / eps), taken for the spectrum and E both lowered by
+its ground energy E0.  ``continuity_bound_finite`` takes delta = eps and
+F = ln dim_B, for eps <= 1.  The pure-state variants
 substitute eps -> eps^2 / 2.  All outputs are nats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 from .entropy import thermal_entropy
 from .errors import ValidationError
-from .gibbs import SpectrumModel, max_entropy
+from .gibbs import SpectrumModel, below_ground, max_entropy
 
 # F is called through this name: perfbench/tracing.py wraps
 # bounds.max_entropy_with_tail, so the name stays in this module.
 max_entropy_with_tail = max_entropy
 
 EPSILON_MAX = 0.5
-
-# Either a spectrum, whose F is max_entropy, or a closed-form cap E -> F
-# such as partial(oscillator_entropy_cap, freqs).
-Envelope = Union[SpectrumModel, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
@@ -130,25 +127,29 @@ def _assemble(desc, epsilon, eps_eff, pure, energy, delta=None, f_argument=None,
                        f_argument, f_value, pure)
 
 
-def continuity_bound(preset, envelope: Envelope, epsilon: float, energy: float,
+def continuity_bound(preset, model: SpectrumModel, epsilon: float, energy: float,
                      pure: bool = False) -> BoundResult:
-    """Energy-constrained bound (c- + c+) sqrt(2e) F(E/e) + (a + b) g(sqrt(2e)).
+    """Energy-constrained bound (c- + c+) sqrt(2e) F(E0 + (E - E0)/e) + (a + b) g(sqrt(2e)).
 
-    ``envelope`` is a SpectrumModel (F from max_entropy, an upper bound)
-    or a callable E -> F.  ``epsilon = 0`` returns the continuous
+    F is max_entropy of ``model``, an upper bound on the entropy maximum,
+    and E0 its ground energy, so shifting H and E by one constant leaves
+    the bound unchanged.  E below E0 is refused; at E = E0, F is
+    ln(ground multiplicity).  ``epsilon = 0`` returns the continuous
     extension 0.
     """
     desc = _descriptor(preset)
     eps_eff = _effective_epsilon(epsilon, pure)
     if not math.isfinite(energy):
         raise ValidationError(f"continuity_bound: energy={energy!r} must be finite")
+    ground = model.ground_energy
+    if below_ground(energy, ground):
+        raise ValidationError(
+            f"continuity_bound: energy {energy!r} below the ground energy {ground!r}")
     if eps_eff == 0.0:
         return _assemble(desc, epsilon, eps_eff, pure, energy)
-    f_arg = energy / eps_eff
-    if isinstance(envelope, SpectrumModel):
-        f_value = max_entropy_with_tail(envelope, f_arg)
-    else:
-        f_value = envelope(f_arg)
+    # An E within the tolerance below E0 reads F at E0.
+    f_arg = ground + max(energy - ground, 0.0) / eps_eff
+    f_value = max_entropy_with_tail(model, f_arg)
     return _assemble(desc, epsilon, eps_eff, pure, energy,
                      math.sqrt(2.0 * eps_eff), f_arg, f_value)
 

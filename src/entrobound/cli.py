@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ from .gibbs import (
     log_partition,
     log_power_growth_diagnostic,
     mean_energy,
-    oscillator_entropy_cap,
 )
 from .serialization import (
     decode_spectrum,
@@ -183,8 +181,6 @@ def _cmd_gibbs(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.closed_form and args.oscillator is None:
-        raise ValidationError("bound: --closed-form needs --oscillator")
     if args.dim_b is not None:
         if args.energy is not None:
             raise ValidationError("bound: --dim-b takes no --energy")
@@ -193,12 +189,8 @@ def _cmd_bound(args) -> int:
     else:
         if args.energy is None:
             raise ValidationError("bound: --energy is required unless --dim-b is used")
-        if args.closed_form:
-            _refuse_truncation(args, "the --closed-form cap")
-            envelope = partial(oscillator_entropy_cap, args.oscillator)
-        else:
-            envelope = _model_from_args(args)
-        result = continuity_bound(args.preset, envelope, args.epsilon, args.energy, pure=args.pure)
+        result = continuity_bound(args.preset, _model_from_args(args), args.epsilon, args.energy,
+                                  pure=args.pure)
     unit = _unit(args.bits)
     payload = dict(jsonable(result))
     for key in ("value", "main_term", "additive_term", "f_value"):
@@ -400,8 +392,6 @@ def build_parser() -> _Parser:
     p_bound.add_argument("--energy", type=float, default=None, help="energy cap")
     p_bound.add_argument("--pure", action="store_true",
                          help="pure-state variant (epsilon^2/2 substitution)")
-    p_bound.add_argument("--closed-form", action="store_true",
-                         help="with --oscillator, use the logarithmic cap instead of solving")
     p_bound.add_argument("--bits", action="store_true", help="report in bits")
     p_bound.add_argument("--json", action="store_true")
     p_bound.set_defaults(handler=_cmd_bound)

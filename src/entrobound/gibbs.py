@@ -38,6 +38,7 @@ LAMBDA_CAP = 1e4
 DEFAULT_TRUNCATION = 4096
 SOLVE_RTOL = 1e-9
 GROUND_TOL = 1e-12
+BELOW_GROUND_TOL = 1e-9
 
 SPECTRUM_KINDS = ("explicit", "oscillator", "logpower")
 
@@ -475,6 +476,11 @@ class GibbsSolution:
     flag: str | None = None
 
 
+def below_ground(energy: float, ground: float) -> bool:
+    """True when E lies below the ground energy by more than BELOW_GROUND_TOL, relative."""
+    return energy < ground - BELOW_GROUND_TOL * max(1.0, abs(ground))
+
+
 def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolution:
     """Solve mean_energy(lam) = energy for lam.
 
@@ -489,7 +495,7 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
     truncation.  A clamped lam still gives an upper bound on F.
     """
     ground = model.ground_energy
-    if energy < ground - 1e-9 * max(1.0, abs(ground)):
+    if below_ground(energy, ground):
         raise ValidationError(
             f"solve_inverse_temperature: energy {energy!r} below the ground energy {ground!r}"
         )

@@ -143,10 +143,10 @@ class Quantity:
     ``energy`` is the default sweep energy, None when the quantity is not
     swept.  A sweep bounds with F of its own constraint levels, the
     spectrum its states are drawn on.  ``pure_dims`` replaces ``dims``
-    in a pure sweep, whose extra factors f traces out.  ``channel`` is
-    the default channel of a channel quantity; ``ensemble`` sweeps pairs
-    of ensembles instead of states; ``reference`` draws extra per-trial
-    arguments of f in laa-check.
+    when the pure sampler draws the states; f traces out its extra
+    factors.  ``channel`` is the default channel of a channel quantity;
+    ``ensemble`` sweeps pairs of ensembles instead of states;
+    ``reference`` draws extra per-trial arguments of f in laa-check.
     """
 
     preset: str
@@ -247,7 +247,7 @@ class SweepConfig:
         if self.dims:
             q = QUANTITIES[self.family]
             _check_factors(f"a {self.family} sweep", self.dims, *q.factors)
-            if self.pure and q.pure_dims and len(self.dims) < len(q.pure_dims):
+            if self.sampler == "pure" and q.pure_dims and len(self.dims) < len(q.pure_dims):
                 ancilla = self.dims + q.pure_dims[len(self.dims):]
                 raise ValidationError(
                     f"a pure {self.family} sweep needs an ancilla factor that f traces out, "
@@ -314,7 +314,7 @@ def resolve_wiring(config: SweepConfig) -> FamilyWiring:
     q = QUANTITIES[config.family]
     dims = config.dims
     if not dims:
-        dims = q.pure_dims if config.pure and q.pure_dims else q.dims
+        dims = q.pure_dims if config.sampler == "pure" and q.pure_dims else q.dims
     axes, base = _constraint(q, dims)
     channel = None
     if q.channel is not None:

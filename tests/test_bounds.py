@@ -1,8 +1,8 @@
 """Continuity bound evaluators: presets, envelopes, the bound template."""
 import dataclasses
 import math
-from functools import partial
 
+import numpy as np
 import pytest
 
 from entrobound.bounds import (
@@ -13,11 +13,15 @@ from entrobound.bounds import (
 )
 from entrobound.entropy import binary_entropy, thermal_entropy
 from entrobound.errors import ValidationError
-from entrobound.gibbs import SpectrumModel, max_entropy, oscillator_entropy_cap
+from entrobound.gibbs import (
+    SpectrumModel,
+    max_entropy,
+    oscillator_entropy_cap,
+    truncated_levels,
+)
 
 SINGLE_MODE = SpectrumModel.oscillator((1.0,))
 TWO_LEVEL = SpectrumModel.explicit((0.0, 1.0))
-UNIT_CAP = partial(oscillator_entropy_cap, (1.0,))
 
 
 class TestPresets:
@@ -56,26 +60,19 @@ class TestPresets:
 
 
 class TestContinuityBound:
-    def test_oscillator_closed_form_frozen(self):
-        # eps = 0.08, E = 1.5, unit mode: sqrt(2 eps) = 0.4,
-        # cap = ln(E/eps + 1/2) + 1 = ln 19.25 + 1, additive = g(0.4).
-        r = continuity_bound("entropy", UNIT_CAP, 0.08, 1.5)
-        assert r.main_term == pytest.approx(1.5830044242935175, abs=1e-9)
-        assert r.additive_term == pytest.approx(0.8375774240193601, abs=1e-9)
-        assert r.value == pytest.approx(2.4205818483128776, abs=1e-9)
-        assert r.f_argument == pytest.approx(18.75)
-
     def test_spectrum_backed_matches_exact_unit_mode(self):
-        # F(E) = g(E - 1/2) for the unit oscillator, so the main term is
-        # sqrt(2 eps) g(E/eps - 1/2) exactly.
+        # F(E) = g(E - 1/2) for the unit oscillator, read at
+        # 1/2 + (E - 1/2)/eps, so the main term is sqrt(2 eps) g((E - 1/2)/eps).
         r = continuity_bound("entropy", SINGLE_MODE, 0.08, 1.5)
-        assert r.main_term == pytest.approx(0.4 * thermal_entropy(18.25), rel=1e-12)
+        assert r.f_argument == 13.0
+        assert r.main_term == pytest.approx(0.4 * thermal_entropy(12.5), rel=1e-12)
 
-    def test_spectrum_never_exceeds_oscillator_cap(self):
+    @pytest.mark.parametrize("freqs", [(1.0,), (1.0, 1.5, 2.0)])
+    def test_spectrum_never_exceeds_oscillator_cap(self, freqs):
+        model = SpectrumModel.oscillator(freqs)
         for eps in (0.01, 0.05, 0.1, 0.25, 0.5):
-            exact = continuity_bound("entropy", SINGLE_MODE, eps, 2.0)
-            cap = continuity_bound("entropy", UNIT_CAP, eps, 2.0)
-            assert exact.value <= cap.value + 1e-12
+            result = continuity_bound("entropy", model, eps, model.ground_energy + 1.5)
+            assert result.f_value <= oscillator_entropy_cap(freqs, result.f_argument) + 1e-12
 
     def test_value_is_sum_of_terms(self):
         r = continuity_bound("mutual-info", TWO_LEVEL, 0.2, 0.3)
@@ -110,15 +107,30 @@ class TestContinuityBound:
             continuity_bound("entropy", TWO_LEVEL, -0.1, 1.0)
 
     @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("envelope", [TWO_LEVEL, UNIT_CAP], ids=["spectrum", "callable"])
-    def test_rejects_non_finite_energy(self, envelope, energy):
+    def test_rejects_non_finite_energy(self, energy):
         for eps in (0.0, 0.1):
             with pytest.raises(ValidationError, match="energy"):
-                continuity_bound("entropy", envelope, eps, energy)
+                continuity_bound("entropy", TWO_LEVEL, eps, energy)
 
-    def test_closed_form_cap_rejects_energy_below_zero_point(self):
-        with pytest.raises(ValidationError, match="zero-point"):
-            continuity_bound("entropy", UNIT_CAP, 0.5, 0.2)
+    @pytest.mark.parametrize("model,energy,ground", [
+        (SpectrumModel.explicit(range(-10, -2)), -10.05, -10.0),
+        (SINGLE_MODE, 0.2, 0.5),
+    ], ids=["negative-ground", "zero-point"])
+    def test_rejects_energy_below_ground(self, model, energy, ground):
+        # The message quotes the caller's E, not the F argument E0 + (E - E0)/eps.
+        for eps in (0.0, 0.1):
+            with pytest.raises(ValidationError) as info:
+                continuity_bound("entropy", model, eps, energy)
+            assert str(info.value) == (
+                f"continuity_bound: energy {energy!r} below the ground energy {ground!r}")
+
+    def test_energy_at_ground_reads_the_ground_multiplicity(self):
+        model = SpectrumModel.explicit((-1.0, -1.0, 0.0))
+        for energy in (-1.0, -1.0 - 1e-10):
+            r = continuity_bound("entropy", model, 0.1, energy)
+            assert r.f_argument == -1.0
+            assert r.f_value == math.log(2.0)
+
 
     def test_accepts_custom_descriptor(self):
         desc = BoundDescriptor("custom", 0.5, 0.5, 0.0, 0.0)
@@ -162,25 +174,50 @@ class TestEnvelopeEngine:
             lhs = (1 + x) * binary_entropy(x / (1 + x))
             assert lhs == pytest.approx(thermal_entropy(x), rel=1e-12)
 
-    def test_matches_entropy_preset(self):
-        # A callable envelope returning the solved F gives the spectrum result.
-        def envelope(arg):
-            return max_entropy(SINGLE_MODE, arg)
 
-        for eps in (0.01, 0.08, 0.3, 0.5):
-            via = continuity_bound("entropy", envelope, eps, 1.5)
-            direct = continuity_bound("entropy", SINGLE_MODE, eps, 1.5)
-            assert via == direct
+class TestShiftInvariance:
+    """The bound does not change when H and E move by the same constant."""
 
-    def test_matches_mutual_info_preset(self):
-        def envelope(arg):
-            return max_entropy(SINGLE_MODE, arg)
+    @pytest.mark.parametrize("shift", [-10.0, -0.5, 3.7, 100.0])
+    def test_explicit_levels(self, shift):
+        rng = np.random.default_rng(17)
+        presets = sorted(PRESETS)
+        for _ in range(40):
+            levels = np.sort(rng.uniform(0.0, 5.0, size=int(rng.integers(2, 12))))
+            levels -= levels[0]
+            preset = presets[int(rng.integers(len(presets)))]
+            eps = float(rng.uniform(0.01, 0.5))
+            pure = bool(rng.random() < 0.5)
+            energy = float(rng.uniform(0.0, 3.0))
+            base = continuity_bound(preset, SpectrumModel.explicit(levels), eps, energy, pure=pure)
+            moved = continuity_bound(preset, SpectrumModel.explicit(levels + shift), eps,
+                                     energy + shift, pure=pure)
+            assert moved.value == pytest.approx(base.value, rel=1e-12)
 
-        for eps in (0.05, 0.25):
-            for pure in (False, True):
-                via = continuity_bound("mutual-info", envelope, eps, 1.5, pure=pure)
-                direct = continuity_bound("mutual-info", SINGLE_MODE, eps, 1.5, pure=pure)
-                assert via == direct
+    @pytest.mark.parametrize("freqs,max_excess,cases", [
+        ((1.0,), 50.0, ((0.01, 0.02, False), (0.08, 1.0, False), (0.3, 2.0, False),
+                        (0.5, 0.5, False), (0.3, 2.0, True), (0.5, 1.5, True), (0.08, 0.1, True))),
+        ((1.0, 1.5), 2.0, ((0.01, 0.01, False), (0.08, 0.1, False), (0.3, 0.5, False),
+                           (0.5, 1.0, False), (0.5, 0.2, True))),
+    ], ids=["one-mode", "two-mode"])
+    def test_oscillator_matches_its_levels_from_zero(self, freqs, max_excess, cases):
+        # The oscillator's lowest 4000 levels, lowered by E0: at an F
+        # argument at most max_excess above E0, the levels cut off carry
+        # less than 1e-15 of Z.
+        model = SpectrumModel.oscillator(freqs)
+        ground = model.ground_energy
+        levels = SpectrumModel.explicit(truncated_levels(model, 4000) - ground)
+        for eps, excess, pure in cases:
+            got = continuity_bound("mutual-info", model, eps, ground + excess, pure=pure)
+            want = continuity_bound("mutual-info", levels, eps, excess, pure=pure)
+            assert got.f_argument - ground <= max_excess + 1e-12
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+
+    def test_logpower_reads_e_over_epsilon(self):
+        model = SpectrumModel.log_power(3.0)
+        for eps, pure in ((0.08, False), (0.3, True)):
+            r = continuity_bound("entropy", model, eps, 1.0, pure=pure)
+            assert r.f_argument == 1.0 / r.epsilon_effective
 
 
 def _template(desc, delta, f_value):
@@ -195,19 +232,15 @@ class TestReferenceTemplate:
     ENERGY = 1.5
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
-    @pytest.mark.parametrize("envelope", [SINGLE_MODE, TWO_LEVEL, UNIT_CAP],
-                             ids=["oscillator", "two-level", "closed-form"])
-    def test_energy_constrained(self, preset, envelope):
+    @pytest.mark.parametrize("model", [SINGLE_MODE, TWO_LEVEL], ids=["oscillator", "two-level"])
+    def test_energy_constrained(self, preset, model):
         desc = PRESETS[preset]
+        ground = model.ground_energy
         for eps, pure in ((0.01, False), (0.08, False), (0.5, False), (0.3, True)):
             eps_eff = 0.5 * eps * eps if pure else eps
-            arg = self.ENERGY / eps_eff
-            if isinstance(envelope, SpectrumModel):
-                f_value = max_entropy(envelope, arg)
-            else:
-                f_value = oscillator_entropy_cap((1.0,), arg)
-            want = _template(desc, math.sqrt(2 * eps_eff), f_value)
-            got = continuity_bound(preset, envelope, eps, self.ENERGY, pure=pure)
+            arg = ground + (self.ENERGY - ground) / eps_eff
+            want = _template(desc, math.sqrt(2 * eps_eff), max_entropy(model, arg))
+            got = continuity_bound(preset, model, eps, self.ENERGY, pure=pure)
             assert got.value == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))

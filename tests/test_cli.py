@@ -189,15 +189,13 @@ class TestGibbsCommand:
 
 
 class TestBoundCommand:
-    def test_oscillator_closed_form_frozen(self, capsys):
-        rc = main([
-            "bound", "--preset", "entropy", "--oscillator", "1", "--closed-form",
-            "--epsilon", "0.08", "--energy", "1.5", "--json",
-        ])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["value"] == pytest.approx(2.4205818483128776, abs=1e-9)
-        assert payload["preset"] == "entropy"
+    def test_closed_form_is_an_unknown_option(self, capsys):
+        rc = main(["bound", "--preset", "entropy", "--oscillator", "1", "--closed-form",
+                   "--epsilon", "0.08", "--energy", "1.5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --closed-form" in captured.err
 
     def test_dimension_backed_bound(self, capsys):
         rc = main(["bound", "--preset", "entropy", "--dim-b", "8", "--epsilon", "1.0"])
@@ -231,29 +229,41 @@ class TestBoundCommand:
         assert bits == pytest.approx(nats / LN2, rel=1e-12)
 
     @pytest.mark.parametrize("energy", ["nan", "inf"])
-    @pytest.mark.parametrize("closed_form", [[], ["--closed-form"]], ids=["solved", "closed-form"])
-    def test_non_finite_energy_exits_one(self, capsys, energy, closed_form):
+    def test_non_finite_energy_exits_one(self, capsys, energy):
         rc = main(["bound", "--preset", "entropy", "--oscillator", "1", "--epsilon", "0.1",
-                   "--energy", energy] + closed_form)
+                   "--energy", energy])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: continuity_bound: energy={energy}" in captured.err
 
-    def test_closed_form_needs_oscillator(self, capsys):
-        rc = main(["bound", "--preset", "entropy", "--levels", "0,1", "--closed-form",
-                   "--epsilon", "0.1", "--energy", "0.3"])
+    NEGATIVE_GROUND = ["bound", "--preset", "entropy", "--levels=-10,-9,-8,-7,-6,-5,-4,-3"]
+
+    @pytest.mark.parametrize("eps, energy, line", [
+        ("0.5", "-4", "bound: 3.4657359028 nats"),
+        ("0.1", "-9.95", "bound: 1.32174743102 nats"),
+    ])
+    def test_negative_ground_prints_the_shifted_bound(self, capsys, eps, energy, line):
+        # Levels 0..7 at E + 10 print the same lines.
+        rc = main(self.NEGATIVE_GROUND + ["--epsilon", eps, f"--energy={energy}"])
+        assert rc == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_energy_below_ground_names_the_given_energy(self, capsys):
+        # The F argument, E0 + (E - E0)/eps = -10.5, is not what the user gave.
+        rc = main(self.NEGATIVE_GROUND + ["--epsilon", "0.1", "--energy=-10.05"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--closed-form needs --oscillator" in captured.err
+        assert captured.err == ("error: continuity_bound: energy -10.05 below the ground "
+                                "energy -10.0\n")
 
     def test_solved_oscillator_is_exact_far_past_any_series_cut(self, capsys):
-        # E / eps_eff = 4e4: F = g(39999.5), not a sum cut at 4096 terms.
+        # E0 + (E - E0)/eps_eff = 30000.5: F = g(30000), not a sum cut at 4096 terms.
         rc = main(["bound", "--oscillator", "1.0", "--preset", "entropy", "--epsilon", "0.01",
                    "--energy", "2", "--pure"])
         assert rc == 0
-        assert "bound: 0.172067883352 nats" in capsys.readouterr().out.splitlines()
+        assert "bound: 0.169191229293 nats" in capsys.readouterr().out.splitlines()
 
     def test_formerly_refused_logpower_query_prints_a_bound(self, capsys):
         # E / eps = 37.5 needs the series past its 4096 default terms; the
@@ -322,9 +332,8 @@ class TestTruncationOption:
         (["--oscillator", "1", "--energy", "1.5"], "an oscillator spectrum"),
         (["--spectrum", "OSC", "--energy", "1.5"], "an oscillator spectrum"),
         (["--dim-b", "4"], "the finite --dim-b form"),
-        (["--oscillator", "1", "--closed-form", "--energy", "1.5"], "the --closed-form cap"),
     ], ids=["levels", "hamiltonian", "explicit-spectrum-file", "oscillator",
-            "oscillator-spectrum-file", "dim-b", "closed-form"])
+            "oscillator-spectrum-file", "dim-b"])
     def test_bound_refuses_truncation_without_a_series(self, capsys, files, envelope, what):
         rc = main(self.BOUND + [files.get(arg, arg) for arg in envelope])
         assert rc == 1
@@ -507,17 +516,30 @@ class TestVerifyCommand:
         margin = float(rows[0].split(",")[verify_mod.CSV_COLUMNS.index("margin")])
         assert margin >= verify_mod.MARGIN_TOL
 
-    PURE = ["verify", "--trials", "2", "--epsilons", "0.1", "--energy", "2.0", "--seed", "1",
-            "--sampler", "pure", "--pure", "--out", "-"]
+    PURE_SAMPLER = ["verify", "--trials", "2", "--epsilons", "0.1", "--energy", "2.0",
+                    "--seed", "1", "--sampler", "pure", "--out", "-"]
+    PURE = PURE_SAMPLER + ["--pure"]
 
     @pytest.mark.parametrize("family", ["entropy", "channel-mi"])
-    def test_pure_sweep_without_an_ancilla_exits_one(self, capsys, family):
+    @pytest.mark.parametrize("variant", [["--pure"], []], ids=["pure", "sampler-only"])
+    def test_pure_sweep_without_an_ancilla_exits_one(self, capsys, family, variant):
         # f of a pure state on a single factor is 0, so the sweep could not fail.
-        rc = main(self.PURE + ["--family", family, "--dims", "16"])
+        rc = main(self.PURE_SAMPLER + variant + ["--family", family, "--dims", "16"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ancilla" in captured.err and "(16, 2)" in captured.err
+
+    @pytest.mark.parametrize("family", ["entropy", "channel-mi"])
+    def test_pure_sampler_alone_draws_on_the_ancilla_dims(self, capsys, family):
+        # --sampler pure without --pure also takes pure_dims, so f is not 0.
+        rc = main(self.PURE_SAMPLER + ["--family", family])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+        col = verify_mod.CSV_COLUMNS.index("abs_diff")
+        assert len(rows) == 2
+        assert min(float(r[col]) for r in rows) > 1e-3
 
     def test_pure_channel_sweep_accepts_an_ancilla(self, capsys):
         rc = main(self.PURE + ["--family", "channel-mi", "--dims", "16,2"])

@@ -40,7 +40,6 @@ from .serialization import (
 )
 from .verify import (
     LAA_QUANTITIES,
-    QUANTITIES,
     SWEEP_FAMILIES,
     SweepConfig,
     default_sweep_suite,
@@ -51,8 +50,7 @@ from .verify import (
 LAA_SLACK_TOL = -1e-8
 LN2 = math.log(2.0)
 # verify options that shape one sweep; --suite fixes all of them itself.
-SWEEP_OPTIONS = ("family", "epsilons", "energy", "sampler", "pure", "dims",
-                 "channel", "ensemble_size")
+SWEEP_OPTIONS = ("family", "epsilons", "energy", "sampler", "pure", "dims", "channel")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -257,8 +255,7 @@ def _cmd_verify(args) -> int:
             raise ValidationError("verify: give --family or --suite")
         if args.out_dir is not None:
             raise ValidationError("verify: --out-dir needs --suite; use --out for one sweep")
-        given.setdefault("energy", QUANTITIES[args.family].energy)
-        if args.pure:
+        if given.pop("pure", False):
             given["sampler"] = "pure"
         if args.channel is not None:
             given["channel"] = _parse_channel(args.channel)
@@ -407,12 +404,11 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--seed", type=int, default=20240801)
     p_verify.add_argument("--sampler", choices=("mixed", "pure", "boundary"), default=None)
     p_verify.add_argument("--pure", action="store_true", default=None,
-                          help="pure-state variant (forces the pure sampler)")
+                          help="the pure sampler, as --sampler pure")
     p_verify.add_argument("--dims", type=_csv_ints, default=None,
                           help="override sampling factor dimensions")
     p_verify.add_argument("--channel", default=None, metavar="KIND[:P1,P2]",
                           help="channel for the channel-mi family")
-    p_verify.add_argument("--ensemble-size", type=int, default=None)
     p_verify.add_argument("--out", default=None,
                           help="CSV output path of one sweep ('-' = stdout, the default)")
     p_verify.add_argument("--out-dir", default=None, help="directory for the --suite CSVs")

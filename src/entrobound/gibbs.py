@@ -307,7 +307,10 @@ def _logpower_integral_parts(q: float, lam: float, u0: float,
     def integrand(t, sign):
         # phi(center + d) - top = d*grad_c - lam*center^q*beyond_linear(d/center),
         # exact in exact arithmetic; avoids subtracting two huge phi values.
-        # beyond_linear(x) = expm1(q*log1p(x)) - q*x, by its series for tiny x.
+        # beyond_linear(x) = (1+x)^q - 1 - q*x, by its series for tiny x.
+        # Written as (1+x) expm1((q-1) log1p(x)) - (q-1) x, which is the same
+        # function: expm1(q log1p(x)) - q x cancels to ~1e-8 relative when
+        # q - 1 is small, and quad then never meets its tolerance.
         d = sign * scale * t
         x = d / center
         with np.errstate(all="ignore"):
@@ -315,7 +318,7 @@ def _logpower_integral_parts(q: float, lam: float, u0: float,
             beyond_linear = np.where(
                 np.abs(x) < 1e-5,
                 q * (q - 1.0) * x * x * (0.5 + (q - 2.0) * x / 6.0),
-                np.expm1(q * log1p_x) - q * x,
+                (1.0 + x) * np.expm1((q - 1.0) * log1p_x) - (q - 1.0) * x,
             )
             expo = d * grad_c - lam * center_pow * beyond_linear
             if power_weight:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import PRESETS, continuity_bound
-from .channels import CHANNEL_ZOO_SPECS, Channel, channel_mi, make_channel
+from .channels import CHANNEL_ZOO_SPECS, channel_mi, make_channel
 from .ensembles import Ensemble, ordered_distance
 from .entropy import (
     binary_entropy,
@@ -47,7 +47,8 @@ MARGIN_TOL = -1e-9
 ANCHOR_FRACTION = 0.75
 BOUNDARY_FRACTION = 0.99
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.25, 0.5)
-DEFAULT_ENSEMBLE_SIZE = 4
+# States per ensemble in a holevo sweep.
+ENSEMBLE_SIZE = 4
 
 CSV_COLUMNS = (
     "trial",
@@ -199,40 +200,40 @@ def _constraint(q: Quantity, dims: tuple) -> tuple[tuple, tuple]:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Declarative description of one verification sweep."""
+    """One verification sweep, fully resolved on construction.
+
+    ``energy=None``, ``dims=()`` and, for a channel family,
+    ``channel=None`` take the family's QUANTITIES defaults: its
+    ``energy``, its ``dims`` (``pure_dims`` under the pure sampler) and
+    its ``channel``.  So a sweep given its defaults and one given them
+    explicitly are equal, and have one digest.  Under the pure sampler
+    the sweep bounds with the pure-state variant (``pure``).
+    """
 
     family: str
-    energy: float
     seed: int
+    energy: float | None = None
     trials: int = 200
     epsilons: tuple = DEFAULT_EPSILONS
     sampler: str = "mixed"
-    pure: bool = False
     dims: tuple = ()
     channel: tuple | None = None
-    ensemble_size: int = DEFAULT_ENSEMBLE_SIZE
 
     def __post_init__(self):
         if self.family not in SWEEP_FAMILIES:
             raise ValidationError(
                 f"unknown sweep family {self.family!r}; available: {', '.join(SWEEP_FAMILIES)}"
             )
+        q = QUANTITIES[self.family]
         if self.sampler not in ("mixed", "pure", "boundary"):
             raise ValidationError(f"unknown sampler {self.sampler!r}")
-        if self.pure and self.sampler != "pure":
-            raise ValidationError("pure-variant sweeps require sampler='pure'")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
-        if not math.isfinite(self.energy):
-            raise ValidationError(f"sweep energy {self.energy!r} must be finite")
-        if self.ensemble_size < 2:
-            raise ValidationError("ensemble_size must be >= 2")
-        if self.ensemble_size != DEFAULT_ENSEMBLE_SIZE and not QUANTITIES[self.family].ensemble:
-            raise ValidationError(
-                f"ensemble_size {self.ensemble_size} applies only to ensemble sweeps; "
-                f"{self.family} sweeps sample states"
-            )
-        if self.channel is not None and QUANTITIES[self.family].channel is None:
+        energy = q.energy if self.energy is None else float(self.energy)
+        if not math.isfinite(energy):
+            raise ValidationError(f"sweep energy {energy!r} must be finite")
+        object.__setattr__(self, "energy", energy)
+        if self.channel is not None and q.channel is None:
             raise ValidationError(
                 f"channel applies only to channel sweeps; {self.family} sweeps have no channel"
             )
@@ -243,19 +244,26 @@ class SweepConfig:
             if not 0.0 < e <= 0.5:
                 raise ValidationError(f"sweep epsilon {e!r} outside (0, 1/2]")
         object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if self.dims:
-            q = QUANTITIES[self.family]
-            _check_factors(f"a {self.family} sweep", self.dims, *q.factors)
-            if self.sampler == "pure" and q.pure_dims and len(self.dims) < len(q.pure_dims):
-                ancilla = self.dims + q.pure_dims[len(self.dims):]
+        dims = tuple(int(d) for d in self.dims)
+        if dims:
+            _check_factors(f"a {self.family} sweep", dims, *q.factors)
+            if self.pure and q.pure_dims and len(dims) < len(q.pure_dims):
+                ancilla = dims + q.pure_dims[len(dims):]
                 raise ValidationError(
                     f"a pure {self.family} sweep needs an ancilla factor that f traces out, "
-                    f"as in dims {ancilla}; on dims {self.dims} f is 0 for every pure state"
+                    f"as in dims {ancilla}; on dims {dims} f is 0 for every pure state"
                 )
-        if self.channel is not None:
-            kind, params = self.channel
+        else:
+            dims = q.pure_dims if self.pure and q.pure_dims else q.dims
+        object.__setattr__(self, "dims", dims)
+        if q.channel is not None:
+            kind, params = q.channel if self.channel is None else self.channel
             object.__setattr__(self, "channel", (str(kind), tuple(float(p) for p in params)))
+
+    @property
+    def pure(self) -> bool:
+        """The sweep bounds with the pure-state variant: its sampler is pure."""
+        return self.sampler == "pure"
 
 
 # Slotted: a sweep keeps every row, and slots cut a row from 152 to 104 bytes.
@@ -292,15 +300,13 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class FamilyWiring:
-    """Resolved per-family machinery used by the trial loop."""
+    """What the trial loop needs beyond the config: the constraint levels,
+    their value on every basis state of ``dims``, and the functional f.
+    """
 
-    preset: str
-    dims: tuple
-    constraint_axes: tuple
     base_levels: tuple
     lifted_levels: np.ndarray = field(repr=False)
     f: object = field(repr=False)
-    channel: Channel | None = None
 
 
 def _lift_levels(dims, constraint_axes, base_levels) -> np.ndarray:
@@ -310,34 +316,27 @@ def _lift_levels(dims, constraint_axes, base_levels) -> np.ndarray:
 
 
 def resolve_wiring(config: SweepConfig) -> FamilyWiring:
-    """Fill in the quantity's defaults: dims, constraint levels, f."""
+    """Constraint levels and f of a sweep, with its channel built."""
     q = QUANTITIES[config.family]
-    dims = config.dims
-    if not dims:
-        dims = q.pure_dims if config.sampler == "pure" and q.pure_dims else q.dims
-    axes, base = _constraint(q, dims)
+    axes, base = _constraint(q, config.dims)
     channel = None
-    if q.channel is not None:
-        kind, params = config.channel if config.channel is not None else q.channel
-        channel = make_channel(kind, dims[0], params)
+    if config.channel is not None:
+        kind, params = config.channel
+        channel = make_channel(kind, config.dims[0], params)
     return FamilyWiring(
-        preset=q.preset,
-        dims=dims,
-        constraint_axes=axes,
         base_levels=base,
-        lifted_levels=_lift_levels(dims, axes, base),
-        f=q.build(dims, base, channel),
-        channel=channel,
+        lifted_levels=_lift_levels(config.dims, axes, base),
+        f=q.build(config.dims, base, channel),
     )
 
 
-def config_digest(config: SweepConfig, wiring: FamilyWiring | None = None) -> str:
-    """Hash of the fully resolved configuration.
+def config_digest(config: SweepConfig) -> str:
+    """Hash of the resolved configuration, its constraint axes and levels.
 
-    ``wiring`` is ``resolve_wiring(config)``, resolved here when not given.
+    ``ensemble_size`` stays in the payload, at ENSEMBLE_SIZE, so that
+    digests keep their values.
     """
-    if wiring is None:
-        wiring = resolve_wiring(config)
+    axes, base = _constraint(QUANTITIES[config.family], config.dims)
     payload = {
         "family": config.family,
         "energy": config.energy,
@@ -346,12 +345,12 @@ def config_digest(config: SweepConfig, wiring: FamilyWiring | None = None) -> st
         "epsilons": list(config.epsilons),
         "sampler": config.sampler,
         "pure": config.pure,
-        "dims": list(wiring.dims),
-        "constraint_axes": list(wiring.constraint_axes),
-        "base_levels": list(wiring.base_levels),
+        "dims": list(config.dims),
+        "constraint_axes": list(axes),
+        "base_levels": list(base),
         "channel": None if config.channel is None else
             [config.channel[0], list(config.channel[1])],
-        "ensemble_size": config.ensemble_size,
+        "ensemble_size": ENSEMBLE_SIZE,
     }
     return sha256_hex(canonical_json(payload))
 
@@ -568,13 +567,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     anchor_p = _anchor_probabilities(lifted, lam)
     anchor = (anchor_p, float(anchor_p @ lifted))
 
-    ensemble = QUANTITIES[config.family].ensemble
+    q = QUANTITIES[config.family]
 
     def run_one(eps_idx: int, eps: float, bound_value: float, trial: int) -> SweepRow:
         rng = _trial_rng(config.seed, eps_idx, trial)
-        if ensemble:
+        if q.ensemble:
             first, second, _ = _sample_ensemble_pair(
-                rng, lifted, config.energy, eps, anchor, config.ensemble_size
+                rng, lifted, config.energy, eps, anchor, ENSEMBLE_SIZE
             )
         else:
             first, second, _ = sample_state_pair(
@@ -597,9 +596,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     rows = []
     for eps_idx, eps in enumerate(config.epsilons):
-        res = continuity_bound(
-            wiring.preset, model, eps, config.energy, pure=config.pure
-        )
+        res = continuity_bound(q.preset, model, eps, config.energy, pure=config.pure)
         rows.extend(
             run_one(eps_idx, eps, res.value, trial)
             for trial in range(config.trials)
@@ -608,7 +605,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         config=config,
         rows=tuple(rows),
         violations=tuple(row for row in rows if row.margin < MARGIN_TOL),
-        config_digest=config_digest(config, wiring),
+        config_digest=config_digest(config),
     )
 
 
@@ -621,13 +618,10 @@ def default_sweep_suite(seed: int = 20240801, trials: int = 200) -> list[SweepCo
     """
     plain = [(family, {}) for family in SWEEP_FAMILIES if family != "channel-mi"]
     zoo = [("channel-mi", {"channel": spec}) for spec in CHANNEL_ZOO_SPECS]
-    pure = [
-        (family, {"sampler": "pure", "pure": True, "channel": QUANTITIES[family].channel})
-        for family in SWEEP_FAMILIES if not QUANTITIES[family].ensemble
-    ]
+    pure = [(family, {"sampler": "pure"})
+            for family in SWEEP_FAMILIES if not QUANTITIES[family].ensemble]
     return [
-        SweepConfig(family=family, energy=QUANTITIES[family].energy, seed=seed + k,
-                    trials=trials, **kw)
+        SweepConfig(family=family, seed=seed + k, trials=trials, **kw)
         for k, (family, kw) in enumerate(plain + zoo + pure)
     ]
 

@@ -285,11 +285,8 @@ def test_criterion_4_bound_dominance_sweeps():
         if config.epsilons != (0.01, 0.05, 0.1, 0.25, 0.5):
             failures.append(f"{config.family}: epsilon grid altered")
         if not config.pure:
-            from entrobound.verify import resolve_wiring
-
             dims, energy = expected_shape[(config.family, config.pure)]
-            wiring = resolve_wiring(config)
-            if wiring.dims != dims or config.energy != energy:
+            if config.dims != dims or config.energy != energy:
                 failures.append(f"{config.family}: battery parameters drifted")
         worst = min(row.margin for row in report.rows)
         if report.violations or worst < -1e-9:

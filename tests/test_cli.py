@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, output formats."""
+import dataclasses
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import entrobound.verify as verify_mod
 from entrobound import __version__
-from entrobound.cli import main
+from entrobound.cli import SWEEP_OPTIONS, main
 from entrobound.ensembles import Ensemble
 from entrobound.gibbs import SpectrumModel, max_entropy, mean_energy
 from entrobound.operators import DensityMatrix
@@ -19,6 +20,7 @@ from entrobound.serialization import encode_ensemble, encode_matrix
 
 LN2 = math.log(2.0)
 README = Path(__file__).resolve().parent.parent / "README.md"
+FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 # The subcommands whose README blocks show what they print.
 README_COMMANDS = ("gibbs", "bound", "laa-check", "lemma2")
 # Every README code block that runs one of them, as its lines: the
@@ -292,6 +294,14 @@ class TestBoundCommand:
         assert rc == 0
         assert math.isfinite(json.loads(capsys.readouterr().out)["value"])
 
+    @pytest.mark.parametrize("energy,line", [("1e6", "bound: 13884270.4056 nats"),
+                                             ("1e4", "bound: 139484.929493 nats")])
+    def test_logpower_exponent_nearer_one_bound(self, capsys, energy, line):
+        rc = main(["bound", "--logpower", "1.001", "--preset", "entropy", "--epsilon", "0.01",
+                   "--energy", energy])
+        assert rc == 0
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_dim_b_refuses_energy(self, capsys):
         rc = main(["bound", "--preset", "entropy", "--dim-b", "8", "--epsilon", "0.1",
                    "--energy", "1.0"])
@@ -427,16 +437,45 @@ class TestVerifyCommand:
         assert len(json.loads(manifest.read_text())["reports"]) == 15
         assert not (out_dir / "manifest.json").exists()
 
-    @pytest.mark.parametrize("option", [
+    SINGLE_SWEEP_OPTIONS = [
         ["--family", "entropy"], ["--epsilons", "0.3"], ["--energy", "2"],
         ["--sampler", "boundary"], ["--pure"], ["--dims", "4"],
-        ["--channel", "identity"], ["--ensemble-size", "3"],
-    ])
+        ["--channel", "identity"],
+    ]
+
+    @pytest.mark.parametrize("option", SINGLE_SWEEP_OPTIONS)
     def test_suite_refuses_single_sweep_options(self, tmp_path, capsys, option):
         rc = main(["verify", "--suite", "--trials", "1", "--out-dir", str(tmp_path)] + option)
         assert rc == 1
         assert f"drop {option[0]}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_every_config_knob_is_a_sweep_option(self):
+        # A SweepConfig field the command line cannot set, or an option no
+        # field reads, fails here; --pure sets the sampler.
+        knobs = {f.name for f in dataclasses.fields(verify_mod.SweepConfig)}
+        assert set(SWEEP_OPTIONS) == knobs - {"seed", "trials"} | {"pure"}
+        refused = {option[0] for option in self.SINGLE_SWEEP_OPTIONS}
+        assert refused == {"--" + opt.replace("_", "-") for opt in SWEEP_OPTIONS}
+
+    def test_digest_payload_has_the_documented_keys(self, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(verify_mod, "canonical_json",
+                            lambda obj: payloads.append(obj) or json.dumps(obj))
+        verify_mod.config_digest(verify_mod.SweepConfig(family="channel-mi", seed=1))
+        count, keys = re.search(r"exactly these (\d+) keys: (.*?)\. ", FORMATS.read_text(),
+                                re.S).groups()
+        documented = re.findall(r"`(\w+)`", keys)
+        assert len(documented) == int(count) == 12
+        assert sorted(payloads[0]) == sorted(documented)
+
+    def test_ensemble_size_is_not_an_option(self, capsys):
+        rc = main(["verify", "--family", "holevo", "--trials", "1", "--epsilons", "0.1",
+                   "--ensemble-size", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --ensemble-size 3" in captured.err
 
     def test_suite_requires_out_dir(self, capsys):
         assert main(["verify", "--suite", "--trials", "2"]) == 1
@@ -472,13 +511,6 @@ class TestVerifyCommand:
         assert rc == 1
         bad = [d for d in dims.split(",") if int(d) < 1][0]
         assert f"got dim {bad} in dims" in capsys.readouterr().err
-
-    def test_state_family_refuses_ensemble_size(self, capsys):
-        rc = main(self.BASE + ["--ensemble-size", "3"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "ensemble_size 3 applies only to ensemble sweeps" in captured.err
 
     def test_family_without_a_channel_refuses_one(self, capsys):
         rc = main(self.BASE + ["--channel", "depolarizing:0.25"])
@@ -529,6 +561,19 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ancilla" in captured.err and "(16, 2)" in captured.err
+
+    def test_pure_sampler_alone_is_the_pure_variant(self, capsys):
+        # --sampler pure bounds with the pure-state variant; --pure adds nothing.
+        csvs = []
+        for variant in ([], ["--pure"]):
+            rc = main(["verify", "--family", "entropy", "--trials", "3", "--epsilons", "0.1",
+                       "--seed", "1", "--sampler", "pure", *variant])
+            assert rc == 0
+            csvs.append(capsys.readouterr().out)
+        assert csvs[0] == csvs[1]
+        rows = [ln.split(",") for ln in csvs[0].splitlines() if not ln.startswith("#")][1:]
+        col = verify_mod.CSV_COLUMNS.index("bound")
+        assert [r[col] for r in rows] == ["0.61235857930814008"] * 3
 
     @pytest.mark.parametrize("family", ["entropy", "channel-mi"])
     def test_pure_sampler_alone_draws_on_the_ancilla_dims(self, capsys, family):

@@ -534,6 +534,14 @@ class TestLogPowerSolve:
         longer = solve_inverse_temperature(SpectrumModel.log_power(q, truncation=200_000), energy)
         assert sol.f_value == pytest.approx(longer.f_value, rel=1e-9, abs=0.0)
 
+    def test_exponent_near_one_matches_a_long_truncation(self):
+        # At q = 1.001 the integrand's exponent once cancelled to ~1e-8
+        # relative, and quad refused the tail integral.
+        sol = assert_solves(SpectrumModel.log_power(1.001), 1e8)
+        longer = solve_inverse_temperature(SpectrumModel.log_power(1.001, truncation=200_000), 1e8)
+        assert sol.f_value == pytest.approx(longer.f_value, rel=1e-12, abs=0.0)
+        assert sol.f_value == pytest.approx(98176614.53247863, rel=1e-12)
+
     def test_variance_needs_an_exact_log_partition(self):
         with pytest.raises(ValidationError, match="exact ln Z"):
             mean_energy(SpectrumModel.log_power(3.0), 1.0, variance=True)

@@ -10,7 +10,11 @@ import pytest
 import entrobound.verify as verify_mod
 from entrobound.bounds import continuity_bound
 from entrobound.cli import build_parser
-from entrobound.entropy import relative_entropy, relative_entropy_of_coherence
+from entrobound.entropy import (
+    conditional_entropy,
+    relative_entropy,
+    relative_entropy_of_coherence,
+)
 from entrobound.errors import ValidationError
 from entrobound.gibbs import SpectrumModel, gibbs_state, max_entropy, solve_inverse_temperature
 from entrobound.operators import DensityMatrix, HermitianOperator
@@ -52,9 +56,9 @@ class TestSweepConfig:
         with pytest.raises(ValidationError, match="sampler"):
             SweepConfig(family="entropy", energy=1.0, seed=1, sampler="thermal")
 
-    def test_pure_variant_requires_pure_sampler(self):
-        with pytest.raises(ValidationError, match="pure"):
-            SweepConfig(family="entropy", energy=1.0, seed=1, pure=True)
+    def test_pure_follows_the_sampler(self):
+        assert SweepConfig(family="entropy", seed=1, sampler="pure").pure
+        assert not SweepConfig(family="entropy", seed=1, sampler="boundary").pure
 
     def test_rejects_bad_epsilons(self):
         with pytest.raises(ValidationError):
@@ -83,14 +87,6 @@ class TestSweepConfig:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValidationError):
             SweepConfig(family="entropy", energy=1.0, seed=1, trials=0)
-        with pytest.raises(ValidationError):
-            SweepConfig(family="holevo", energy=1.0, seed=1, ensemble_size=1)
-
-    @pytest.mark.parametrize("family", [f for f in SWEEP_FAMILIES
-                                        if not verify_mod.QUANTITIES[f].ensemble])
-    def test_state_families_refuse_ensemble_size(self, family):
-        with pytest.raises(ValidationError, match="ensemble_size 3 applies only to ensemble"):
-            SweepConfig(family=family, energy=2.0, seed=1, ensemble_size=3)
 
     @pytest.mark.parametrize("family", [f for f in SWEEP_FAMILIES
                                         if verify_mod.QUANTITIES[f].channel is None])
@@ -101,58 +97,65 @@ class TestSweepConfig:
 
 class TestResolveWiring:
     def test_entropy_defaults(self):
-        w = resolve_wiring(SweepConfig(family="entropy", energy=2.0, seed=1))
-        assert w.dims == (16,)
-        assert w.preset == "entropy"
+        config = SweepConfig(family="entropy", seed=1)
+        assert (config.energy, config.dims, config.channel) == (2.0, (16,), None)
+        w = resolve_wiring(config)
         assert w.base_levels == tuple(float(k) for k in range(16))
 
     def test_gibbs_red_uses_ree_preset(self):
-        w = resolve_wiring(SweepConfig(family="gibbs-red", energy=3.0, seed=1))
-        assert w.preset == "ree"
-        assert w.dims == (8,)
+        assert verify_mod.QUANTITIES["gibbs-red"].preset == "ree"
+        config = SweepConfig(family="gibbs-red", seed=1)
+        assert (config.energy, config.dims) == (3.0, (8,))
 
     def test_channel_default_is_attenuator(self):
-        w = resolve_wiring(SweepConfig(family="channel-mi", energy=2.0, seed=1))
-        assert w.channel is not None
-        assert "attenuator" in w.channel.name
+        config = SweepConfig(family="channel-mi", energy=2.0, seed=1)
+        assert config.channel == ("attenuator", (0.8,))
+
+    def test_default_and_explicit_channel_are_one_sweep(self):
+        defaulted = SweepConfig(family="channel-mi", seed=1, trials=2, epsilons=(0.1,))
+        explicit = SweepConfig(family="channel-mi", seed=1, trials=2, epsilons=(0.1,),
+                               channel=("attenuator", (0.8,)))
+        assert defaulted == explicit
+        assert config_digest(defaulted) == config_digest(explicit)
 
     def test_pure_channel_sweep_feeds_the_channel_a_marginal(self):
         # A pure input has I(B:R) = 0 whatever the channel, so the pure
         # sweep draws purifications on 16 x 2 and traces out the ancilla.
-        w = resolve_wiring(SweepConfig(family="channel-mi", energy=2.0, seed=1,
-                                       sampler="pure", pure=True))
-        assert w.dims == (16, 2)
-        assert w.channel.dim_in == 16
+        config = SweepConfig(family="channel-mi", energy=2.0, seed=1, sampler="pure")
+        assert config.dims == (16, 2)
+        w = resolve_wiring(config)
         assert np.array_equal(w.lifted_levels, np.repeat(np.arange(16.0), 2))
+        channel = verify_mod.make_channel("attenuator", 16, (0.8,))
         rng = np.random.default_rng(2)
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         rho = DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real)
         marginal = verify_mod.partial_trace(rho, verify_mod.SubsystemShape((16, 2)), keep=(0,))
-        assert w.f(rho) == verify_mod.channel_mi(w.channel, marginal)
+        assert w.f(rho) == verify_mod.channel_mi(channel, marginal)
         assert w.f(rho) > 1e-3
 
     def test_lifted_levels_cond_entropy(self):
         # Constraint on the second factor of a 4 x 4 system: the level
         # pattern repeats once per first-factor index.
         w = resolve_wiring(SweepConfig(family="cond-entropy", energy=1.5, seed=1))
-        assert w.constraint_axes == (1,)
+        assert w.base_levels == (0.0, 1.0, 2.0, 3.0)
         expected = np.tile(np.arange(4.0), 4)
         assert np.array_equal(w.lifted_levels, expected)
 
     def test_lifted_levels_mutual_info(self):
         # Constraint on factors B and C of A x B x C with additive levels.
-        w = resolve_wiring(SweepConfig(family="mutual-info", energy=2.0, seed=1))
-        assert w.dims == (2, 2, 4)
+        config = SweepConfig(family="mutual-info", energy=2.0, seed=1)
+        assert config.dims == (2, 2, 4)
+        w = resolve_wiring(config)
         base = [float(i + j) for i in range(2) for j in range(4)]
         assert list(w.base_levels) == base
         assert np.array_equal(w.lifted_levels, np.tile(base, 2))
 
     def test_dim_shape_validation(self):
         with pytest.raises(ValidationError):
-            resolve_wiring(SweepConfig(family="cond-entropy", energy=1.0, seed=1, dims=(4,)))
+            SweepConfig(family="cond-entropy", energy=1.0, seed=1, dims=(4,))
         # channel-mi takes an ancilla after its channel input, as entropy does.
-        assert resolve_wiring(SweepConfig(family="channel-mi", energy=1.0, seed=1,
-                                          dims=(4, 2))).channel.dim_in == 4
+        w = resolve_wiring(SweepConfig(family="channel-mi", energy=1.0, seed=1, dims=(4, 2)))
+        assert len(w.lifted_levels) == 8
 
 
 class TestSamplers:
@@ -240,14 +243,14 @@ class TestRunSweep:
 
     def test_holevo_family_runs(self):
         cfg = SweepConfig(family="holevo", energy=2.0, seed=3, trials=3,
-                          epsilons=(0.2,), dims=(3,), ensemble_size=3)
+                          epsilons=(0.2,), dims=(3,))
         report = run_sweep(cfg)
         assert len(report.rows) == 3
         assert report.violations == ()
 
     def test_pure_variant_runs(self):
         cfg = SweepConfig(family="entropy", energy=1.0, seed=9, trials=3,
-                          epsilons=(0.2,), dims=(4, 2), sampler="pure", pure=True)
+                          epsilons=(0.2,), dims=(4, 2), sampler="pure")
         report = run_sweep(cfg)
         assert report.violations == ()
 
@@ -288,7 +291,7 @@ class TestRunSweep:
         # repeated, decomposes anything larger than the channel input.
         config = next(c for c in default_sweep_suite(trials=2)
                       if c.channel is not None and c.channel[0] == "depolarizing")
-        d_in = resolve_wiring(config).channel.dim_in
+        d_in = config.dims[0]
         sizes = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
@@ -369,10 +372,10 @@ class TestOneSpectrumPerSweep:
     def test_bound_column_is_the_bound_of_the_constraint_levels(self, small_suite):
         # The states are drawn on the constraint levels, so F is theirs.
         for config, report in small_suite:
-            w = resolve_wiring(config)
-            model = SpectrumModel.explicit(w.base_levels)
+            model = SpectrumModel.explicit(resolve_wiring(config).base_levels)
+            preset = verify_mod.QUANTITIES[config.family].preset
             for row in report.rows:
-                want = continuity_bound(w.preset, model, row.epsilon, config.energy,
+                want = continuity_bound(preset, model, row.epsilon, config.energy,
                                         pure=config.pure).value
                 assert row.bound == want, (config.family, config.channel, row.epsilon)
 
@@ -391,6 +394,44 @@ class TestOneSpectrumPerSweep:
             assert max(row.abs_diff for row in report.rows) > 1e-9, (config.family, config.pure)
 
 
+def _maximally_correlated(a: np.ndarray) -> np.ndarray:
+    """sum_ij a_ij |ii><jj| on C^d x C^d."""
+    d = a.shape[0]
+    diagonal = np.arange(d) * (d + 1)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[np.ix_(diagonal, diagonal)] = a
+    return out
+
+
+class TestRelativeEntropyOfEntanglement:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_gibbs_red_rows_are_ree_rows(self, monkeypatch, d):
+        # For the maximally correlated embedding rho of a, hashing and the
+        # separable reference sum_i a_ii |ii><ii| sandwich E_D <= E_R^inf
+        # <= E_R between -H(A|B) and D(rho || reference); both ends equal
+        # C_r(a).  The embedding keeps trace distance and the energy of B,
+        # so each gibbs-red row (levels 0..d-1, E = 3) is an E_R row.
+        states = []
+        original = verify_mod.resolve_wiring
+
+        def recording(config):
+            wiring = original(config)
+            f = wiring.f
+            return verify_mod.FamilyWiring(wiring.base_levels, wiring.lifted_levels,
+                                           lambda rho: states.append(rho) or f(rho))
+
+        monkeypatch.setattr(verify_mod, "resolve_wiring", recording)
+        run_sweep(SweepConfig(family="gibbs-red", seed=d, trials=2, dims=(d,)))
+        assert len(states) == 2 * 2 * len(verify_mod.DEFAULT_EPSILONS)
+        levels = tuple(float(k) for k in range(d))
+        for a in states:
+            rho = DensityMatrix(_maximally_correlated(a.matrix))
+            reference = DensityMatrix(_maximally_correlated(np.diag(np.diag(a.matrix))))
+            c_r = relative_entropy_of_coherence(a, levels)
+            assert -conditional_entropy(rho, (d, d)) == pytest.approx(c_r, abs=1e-12)
+            assert relative_entropy(rho, reference) == pytest.approx(c_r, abs=1e-12)
+
+
 class TestSuite:
     @pytest.mark.parametrize("index", range(len(SUITE_DIGESTS)))
     def test_suite_digest_is_pinned(self, index):
@@ -398,7 +439,6 @@ class TestSuite:
         family, pure, digest = SUITE_DIGESTS[index]
         assert (config.family, config.pure) == (family, pure)
         assert config_digest(config) == digest
-        assert config_digest(config, resolve_wiring(config)) == digest
 
     def test_default_suite_composition(self):
         suite = default_sweep_suite(trials=10)

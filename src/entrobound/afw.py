@@ -2,16 +2,20 @@
 
 Given close energy-constrained states rho and sigma, joint purifications
 phi and psi are chosen with a real overlap c, and the rank-two
-difference |phi><phi| - |psi><psi| splits into Jordan parts of trace
-delta = sqrt(1 - c^2) each.  The normalized parts tau_hat_plus/minus
-obey the exact mixing identity
+difference |phi><phi| - |psi><psi| splits into the Jordan parts
+delta |gamma_+><gamma_+| and delta |gamma_-><gamma_-|,
+delta = sqrt(1 - c^2), with the unit vectors gamma_+/- of
+``jordan_vectors`` in closed form.  The normalized parts
+tau_hat_plus/minus = |gamma_+/-><gamma_+/-| obey the exact mixing identity
 
     (1+delta)^-1 (|phi><phi| + delta tau_hat_minus)
         = (1+delta)^-1 (|psi><psi| + delta tau_hat_plus)
 
-and their energies are controlled by (1+c) E / delta^2.  When a target
-epsilon is supplied, the overlap is detuned to sqrt(1 - 2 epsilon) so
-delta = sqrt(2 epsilon) exactly and the energy control becomes E/epsilon.
+and their energies are controlled by E0 + (1+c) (E - E0) / delta^2, with
+E0 the ground energy of H, so the control moves with H + const.  When a
+target epsilon is supplied, the overlap is detuned to sqrt(1 - 2 epsilon)
+so delta = sqrt(2 epsilon) exactly and the coarse control
+E0 + (E - E0) / epsilon is the F argument of ``continuity_bound``.
 """
 from __future__ import annotations
 
@@ -21,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .gibbs import SpectrumModel
 from .operators import (
     DensityMatrix,
     HermitianOperator,
     PureStateVector,
     aligned_purifications,
-    jordan_parts,
     partial_trace,
     trace_norm,
 )
@@ -63,6 +67,45 @@ def _marginal_energy(vec: np.ndarray, h: np.ndarray, dim: int) -> float:
     return float(np.real(np.einsum("ij,ik,kj->", mat.conj(), h, mat)))
 
 
+def _energy_control(hamiltonian: HermitianOperator, energy_limit: float, overlap: float,
+                    delta_sq: float) -> float:
+    """E0 + (1 + c) (E - E0) / delta^2, E0 the ground energy of H.
+
+    This is the control (1 + c) E / delta^2 of H - E0, read back on H.  At
+    c = 1 and delta^2 = 2 eps it is E0 + (E - E0) / eps, bit for bit the
+    F argument of ``continuity_bound`` for the same spectrum, E and eps.
+    """
+    ground = SpectrumModel.explicit(np.linalg.eigvalsh(hamiltonian.matrix)).ground_energy
+    return ground + (1.0 + overlap) * max(energy_limit - ground, 0.0) / delta_sq
+
+
+def _jordan_pair(phi: PureStateVector, psi: PureStateVector,
+                 where: str) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """``(c, delta, gamma_plus, gamma_minus)`` of |phi><phi| - |psi><psi|.
+
+    psi is re-phased so c = <phi|psi> is real nonnegative, and
+    psi = c phi + delta psi_perp with delta = |psi - c phi| = sqrt(1 - c^2).
+    In the basis (phi, psi_perp) the difference is delta times the
+    reflection [[cos a, sin a], [sin a, -cos a]], a = atan2(-c, delta),
+    whose +1 and -1 eigenvectors are (cos a/2, sin a/2) and
+    (-sin a/2, cos a/2).  Exact at c = 0 (a = 0); only identical pairs,
+    delta <= DELTA_MIN, are refused.
+    """
+    if phi.dim != psi.dim:
+        raise ValidationError(f"{where}: dims differ ({phi.dim} vs {psi.dim})")
+    raw = complex(np.vdot(phi.vector, psi.vector))
+    c = abs(raw)
+    psi_vec = psi.vector * (raw.conjugate() / c) if c > 0 else psi.vector
+    perp = psi_vec - c * phi.vector
+    delta = float(np.linalg.norm(perp))
+    if delta <= DELTA_MIN:
+        raise ValidationError(f"{where}: states are numerically identical (overlap {c!r})")
+    perp = perp / delta
+    half = 0.5 * math.atan2(-c, delta)
+    cos_h, sin_h = math.cos(half), math.sin(half)
+    return c, delta, cos_h * phi.vector + sin_h * perp, cos_h * perp - sin_h * phi.vector
+
+
 def afw_decompose(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -76,7 +119,8 @@ def afw_decompose(
     ``epsilon`` given (in (0, 1/2], at least the trace distance), the
     purified distance is pinned to sqrt(2 epsilon); with ``epsilon``
     omitted the Uhlmann-optimal pair is used and epsilon_used is
-    reported as delta^2 / 2.
+    reported as delta^2 / 2.  States with orthogonal supports decompose
+    too (delta = 1).
     """
     d = rho.dim
     if sigma.dim != d or hamiltonian.dim != d:
@@ -98,12 +142,7 @@ def afw_decompose(
             raise ValidationError(
                 "afw_decompose: states are numerically identical; nothing to decompose"
             )
-        phi, psi, delta = aligned_purifications(rho, sigma)
-        if delta <= DELTA_MIN:
-            raise ValidationError(
-                "afw_decompose: states are numerically identical; nothing to decompose"
-            )
-        epsilon_used = 0.5 * delta * delta
+        phi, psi, _ = aligned_purifications(rho, sigma)
     else:
         if not 0.0 < epsilon <= 0.5 + 1e-12:
             raise ValidationError(f"afw_decompose: epsilon={epsilon!r} outside (0, 1/2]")
@@ -112,25 +151,16 @@ def afw_decompose(
                 f"afw_decompose: trace distance {dist:.6g} exceeds epsilon={epsilon!r}"
             )
         target = math.sqrt(max(0.0, 1.0 - 2.0 * epsilon))
-        phi, psi, delta = aligned_purifications(rho, sigma, overlap=target)
-        epsilon_used = float(epsilon)
+        phi, psi, _ = aligned_purifications(rho, sigma, overlap=target)
 
-    overlap = math.sqrt(max(0.0, 1.0 - delta * delta))
+    overlap, delta, gamma_plus, gamma_minus = _jordan_pair(phi, psi, "afw_decompose")
+    epsilon_used = 0.5 * delta * delta if epsilon is None else float(epsilon)
+    tau_hat_plus = PureStateVector(gamma_plus).density()
+    tau_hat_minus = PureStateVector(gamma_minus).density()
     rho_hat = np.outer(phi.vector, phi.vector.conj())
     sigma_hat = np.outer(psi.vector, psi.vector.conj())
-    pos, neg = jordan_parts(rho_hat - sigma_hat)
-    tr_pos = float(np.real(np.trace(pos)))
-    tr_neg = float(np.real(np.trace(neg)))
-    delta_parts = 0.5 * (tr_pos + tr_neg)
-    if abs(delta_parts - delta) > 1e-8:
-        raise NumericalError(
-            f"afw_decompose: Jordan-part trace {delta_parts:.12g} disagrees with the "
-            f"purified distance {delta:.12g}"
-        )
-    tau_hat_plus = DensityMatrix(pos / delta_parts)
-    tau_hat_minus = DensityMatrix(neg / delta_parts)
-    omega = (rho_hat + delta_parts * tau_hat_minus.matrix) / (1.0 + delta_parts)
-    omega_other = (sigma_hat + delta_parts * tau_hat_plus.matrix) / (1.0 + delta_parts)
+    omega = (rho_hat + delta * tau_hat_minus.matrix) / (1.0 + delta)
+    omega_other = (sigma_hat + delta * tau_hat_plus.matrix) / (1.0 + delta)
     mixing_residual = float(np.max(np.abs(omega - omega_other)))
     if mixing_residual > MIXING_RESIDUAL_TOL:
         raise NumericalError(f"afw_decompose: mixing identity residual {mixing_residual:.3e}")
@@ -139,10 +169,9 @@ def afw_decompose(
     tau_minus = partial_trace(tau_hat_minus, shape, (0,))
     e_plus = float(np.real(np.trace(h @ tau_plus.matrix)))
     e_minus = float(np.real(np.trace(h @ tau_minus.matrix)))
-    dsq = delta_parts * delta_parts
     return AfwCertificate(
         overlap=overlap,
-        delta=delta_parts,
+        delta=delta,
         epsilon_used=epsilon_used,
         energy_limit=float(energy_limit),
         phi=phi,
@@ -154,8 +183,8 @@ def afw_decompose(
         omega_star=DensityMatrix(omega),
         energy_tau_plus=e_plus,
         energy_tau_minus=e_minus,
-        energy_bound_exact=(1.0 + overlap) * energy_limit / dsq,
-        energy_bound_coarse=2.0 * energy_limit / dsq,
+        energy_bound_exact=_energy_control(hamiltonian, energy_limit, overlap, delta * delta),
+        energy_bound_coarse=_energy_control(hamiltonian, energy_limit, 1.0, 2.0 * epsilon_used),
         mixing_residual=mixing_residual,
     )
 
@@ -164,29 +193,12 @@ def jordan_vectors(phi: PureStateVector, psi: PureStateVector) -> tuple[PureStat
     """Closed-form unit eigenvectors of |phi><phi| - |psi><psi|.
 
     Returns (gamma_plus, gamma_minus) with eigenvalues +delta and
-    -delta, delta = sqrt(1 - c^2), c = |<phi|psi>|.  psi is re-phased
-    internally so the overlap is real nonnegative.  Degenerate pairs
-    (identical or orthogonal within DELTA_MIN) are rejected; the
-    Jordan-parts route has no such restriction.
+    -delta, delta = sqrt(1 - c^2), c = |<phi|psi>|, in the half-angle
+    form of ``_jordan_pair``.  Orthogonal pairs give (phi, psi);
+    identical pairs (delta <= DELTA_MIN) are refused.
     """
-    if phi.dim != psi.dim:
-        raise ValidationError("jordan_vectors: dims differ")
-    raw = complex(np.vdot(phi.vector, psi.vector))
-    c = abs(raw)
-    psi_vec = psi.vector * (raw.conjugate() / c) if c > 0 else psi.vector
-    delta_sq = max(0.0, 1.0 - c * c)
-    delta = math.sqrt(delta_sq)
-    if delta <= DELTA_MIN or delta >= 1.0 - DELTA_MIN:
-        raise ValidationError(
-            f"jordan_vectors: overlap {c!r} is degenerate (states identical or orthogonal)"
-        )
-    out = []
-    for sign in (+1.0, -1.0):
-        denom = delta * math.sqrt(2.0 * (1.0 - sign * delta))
-        p = c / denom
-        q = -(1.0 - sign * delta) / denom
-        out.append(PureStateVector(p * phi.vector + q * psi_vec))
-    return out[0], out[1]
+    _, _, gamma_plus, gamma_minus = _jordan_pair(phi, psi, "jordan_vectors")
+    return PureStateVector(gamma_plus), PureStateVector(gamma_minus)
 
 
 def energy_estimate(
@@ -195,11 +207,11 @@ def energy_estimate(
     hamiltonian: HermitianOperator,
     energy_limit: float,
 ) -> float:
-    """Energy control (1 + c) E / delta^2 for the decomposition of (phi, psi).
+    """Energy control E0 + (1 + c) (E - E0) / delta^2 for the decomposition of (phi, psi).
 
-    Both marginals must have energy <= energy_limit; the value bounds
-    Tr(H tau) for both normalized Jordan parts and never exceeds
-    2 E / delta^2.
+    E0 is the ground energy of H.  Both marginals must have energy
+    <= energy_limit; the value bounds Tr(H tau) for both normalized
+    Jordan parts and never exceeds E0 + 2 (E - E0) / delta^2.
     """
     d = hamiltonian.dim
     if phi.dim != d * d or psi.dim != d * d:
@@ -215,8 +227,5 @@ def energy_estimate(
             raise ValidationError(
                 f"energy_estimate: marginal energy of {name} ({e:.6g}) exceeds {energy_limit!r}"
             )
-    c = abs(complex(np.vdot(phi.vector, psi.vector)))
-    delta_sq = max(0.0, 1.0 - c * c)
-    if delta_sq <= DELTA_MIN**2:
-        raise ValidationError("energy_estimate: states are numerically identical")
-    return (1.0 + c) * energy_limit / delta_sq
+    c, delta, _, _ = _jordan_pair(phi, psi, "energy_estimate")
+    return _energy_control(hamiltonian, energy_limit, c, delta * delta)

@@ -73,8 +73,8 @@ PRESETS: dict[str, BoundDescriptor] = {
     "ree": BoundDescriptor("ree", 0.0, 1.0, 1.0, 0.0),
     # Mutual information of a channel output with the input reference.
     "channel-mi": BoundDescriptor("channel-mi", 0.0, 2.0, 1.0, 1.0),
-    # Holevo quantity of a channel output ensemble, epsilon measured by
-    # the ordered ensemble distance of the inputs.
+    # Holevo quantity chi of the sampled ensemble (the sweep applies no
+    # channel), epsilon measured by the ordered ensemble distance.
     "holevo": BoundDescriptor("holevo", 0.0, 2.0, 1.0, 1.0),
 }
 

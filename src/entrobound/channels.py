@@ -75,30 +75,26 @@ class Channel:
     def choi_split(self) -> tuple[float, np.ndarray]:
         """``(c_min, v)`` with Choi matrix C = c_min I + sum_c vec(v[c]) vec(v[c])^dag.
 
-        c_min is the smallest eigenvalue of C = sum_k vec(K_k) vec(K_k)^dag,
-        or 0 when it is at most EIGENVALUE_CUTOFF times the largest; the
-        read-only stack ``v`` holds the eigenvectors above that floor as
-        (dim_out, dim_in) operators scaled by sqrt(eigenvalue - c_min), so
-        N(rho) = c_min Tr(rho) I + sum_c v[c] rho v[c]^dag.  With fewer
-        Kraus operators than dim_out * dim_in, C is rank-deficient and
-        ``v`` is the minimal Kraus set, from the Kraus operators' Gram
-        matrix.  Computed on first use, then kept; a constructor that knows
-        the split in closed form sets it instead (``depolarizing_channel``).
+        C = sum_k vec(K_k) vec(K_k)^dag = F F^dag with F = flat^T, the n
+        vectorized Kraus operators as columns, so C shares its nonzero
+        eigenvalues mu with the n x n Gram matrix F^dag F, and F e is an
+        eigenvector of C with norm^2 mu for each Gram eigenvector e.  c_min
+        is the smallest eigenvalue of C, Gram eigenvalue mu[n - D] when
+        n >= D = dim_out * dim_in (else C is rank-deficient), or 0 when it
+        is at most EIGENVALUE_CUTOFF times the largest; the read-only stack
+        ``v`` holds the F e above that floor as (dim_out, dim_in) operators
+        scaled by sqrt((mu - c_min) / mu), so
+        N(rho) = c_min Tr(rho) I + sum_c v[c] rho v[c]^dag.  Computed on
+        first use, then kept; a constructor that knows the split in closed
+        form sets it instead (``depolarizing_channel``).
         """
         flat = np.stack(self.kraus).reshape(len(self.kraus), -1)
-        if flat.shape[0] < flat.shape[1]:
-            # C = F F^dag with F = flat^T; F e is an eigenvector of C for
-            # each eigenvector e of the Gram matrix F^dag F, with norm^2 mu.
-            mu, e = np.linalg.eigh(flat.conj() @ flat.T)
-            c_min = 0.0
-            keep = mu > EIGENVALUE_CUTOFF * mu[-1]
-            v = e[:, keep].T @ flat
-        else:
-            mu, u = np.linalg.eigh(flat.T @ flat.conj())
-            cut = EIGENVALUE_CUTOFF * mu[-1]
-            c_min = float(mu[0]) if mu[0] > cut else 0.0
-            keep = mu - c_min > cut
-            v = (u[:, keep] * np.sqrt(mu[keep] - c_min)).T
+        n, d_choi = flat.shape
+        mu, e = np.linalg.eigh(flat.conj() @ flat.T)
+        cut = EIGENVALUE_CUTOFF * mu[-1]
+        c_min = float(mu[n - d_choi]) if n >= d_choi and mu[n - d_choi] > cut else 0.0
+        keep = mu - c_min > cut
+        v = (e[:, keep] * np.sqrt((mu[keep] - c_min) / mu[keep])).T @ flat
         v = v.reshape(-1, self.dim_out, self.dim_in)
         v.flags.writeable = False
         return c_min, v

@@ -256,7 +256,9 @@ def _cmd_verify(args) -> int:
         if args.out_dir is not None:
             raise ValidationError("verify: --out-dir needs --suite; use --out for one sweep")
         if given.pop("pure", False):
-            given["sampler"] = "pure"
+            if given.setdefault("sampler", "pure") != "pure":
+                raise ValidationError(f"verify: --pure contradicts --sampler {given['sampler']}; "
+                                      "--pure selects the pure sampler")
         if args.channel is not None:
             given["channel"] = _parse_channel(args.channel)
         configs = [SweepConfig(seed=args.seed, trials=args.trials, **given)]

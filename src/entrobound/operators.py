@@ -167,22 +167,6 @@ def trace_norm(op) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(arr))))
 
 
-def jordan_parts(op) -> tuple[np.ndarray, np.ndarray]:
-    """Jordan decomposition A = A_plus - A_minus of a Hermitian operator.
-
-    Both parts are PSD with orthogonal supports.  Eigenvalues with
-    |w| <= EIGENVALUE_CUTOFF * max|w| belong to neither part.
-    """
-    w, v = eig_hermitian(op)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    cut = EIGENVALUE_CUTOFF * scale
-    wp = np.where(w > cut, w, 0.0)
-    wm = np.where(w < -cut, -w, 0.0)
-    pos = (v * wp) @ v.conj().T
-    neg = (v * wm) @ v.conj().T
-    return pos, neg
-
-
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of the given operators, first factor major."""
     if not ops:

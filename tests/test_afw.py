@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from entrobound.afw import AfwCertificate, afw_decompose, energy_estimate, jordan_vectors
+from entrobound.bounds import continuity_bound
 from entrobound.errors import ValidationError
+from entrobound.gibbs import SpectrumModel
 from entrobound.operators import (
     DensityMatrix,
     HermitianOperator,
     PureStateVector,
     fidelity,
-    jordan_parts,
     partial_trace,
     purify,
     trace_norm,
@@ -40,7 +41,8 @@ def diagonal_states(rng, dim):
 class TestJordanVectors:
     def test_closed_form_coefficients_frozen(self):
         # At overlap c = 0.6 (delta = 0.8) the plus vector is
-        # p+ phi + q+ psi with p+ = c / (delta sqrt(2 (1 - delta))) and
+        # cos(a/2) phi + sin(a/2) (psi - c phi) / delta, a = atan2(-c, delta),
+        # which is p+ phi + q+ psi with p+ = c / (delta sqrt(2 (1 - delta))) and
         # q+ = -(1 - delta) / (delta sqrt(2 (1 - delta))).
         phi, psi = overlapping_pair(0.6)
         gp, gm = jordan_vectors(phi, psi)
@@ -84,6 +86,13 @@ class TestJordanVectors:
         delta = math.sqrt(1 - c * c)
         assert np.allclose(m @ gp.vector, delta * gp.vector, atol=1e-9)
         assert np.allclose(m @ gm.vector, -delta * gm.vector, atol=1e-9)
+
+    def test_orthogonal_pair_is_its_own_jordan_basis(self):
+        # At c = 0 the half angle is 0: gamma+ = phi and gamma- = psi.
+        phi, psi = overlapping_pair(0.0)
+        gp, gm = jordan_vectors(phi, psi)
+        assert np.array_equal(gp.vector, phi.vector)
+        assert np.array_equal(gm.vector, psi.vector)
 
     def test_rejects_identical_states(self):
         phi, _ = overlapping_pair(0.6)
@@ -154,6 +163,34 @@ class TestAfwDecomposeOptimal:
         with pytest.raises(ValidationError):
             afw_decompose(rho, rho, h, energy_limit=2.0)
 
+    def test_orthogonal_supports_decompose(self):
+        rho = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]))
+        sigma = DensityMatrix(np.diag([0.0, 0.0, 0.5, 0.5]))
+        cert = afw_decompose(rho, sigma, H4, energy_limit=3.0)
+        assert cert.overlap == 0.0
+        assert cert.delta == 1.0
+        assert cert.mixing_residual <= 1e-9
+        assert np.allclose(cert.tau_plus.matrix, rho.matrix, atol=1e-12)
+        assert np.allclose(cert.tau_minus.matrix, sigma.matrix, atol=1e-12)
+
+    def test_no_joint_sized_eigh(self, rng, monkeypatch):
+        # At d = 8 the Jordan parts come from the closed form, so no
+        # 64 x 64 matrix goes through np.linalg.eigh.
+        rho, sigma = nearby_pair(rng, 8, 0.1)
+        h = HermitianOperator(np.diag(np.arange(8.0)))
+        sizes = []
+        original = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        afw_decompose(rho, sigma, h, energy_limit=7.0)
+        afw_decompose(rho, sigma, h, energy_limit=7.0, epsilon=0.2)
+        assert sizes
+        assert all(n == 8 for n in sizes)
+
 
 def nearby_pair(rng, dim, spread):
     """A pair with trace distance at most spread (mixture construction)."""
@@ -184,6 +221,15 @@ class TestAfwDecomposeDetuned:
             assert cert.energy_tau_minus <= exact + 1e-8
             assert exact <= coarse + 1e-8
             assert coarse == pytest.approx(3.0 / eps, rel=1e-9)
+
+    def test_epsilon_one_half_decomposes(self, rng):
+        # epsilon = 1/2 pins the overlap to 0, where the half angle is 0.
+        for _ in range(5):
+            rho, sigma = nearby_pair(rng, 4, 0.3)
+            cert = afw_decompose(rho, sigma, H4, energy_limit=3.0, epsilon=0.5)
+            assert cert.overlap == pytest.approx(0.0, abs=1e-9)
+            assert cert.delta == pytest.approx(1.0, abs=1e-12)
+            assert cert.mixing_residual <= 1e-9
 
     def test_rejects_epsilon_below_trace_distance(self):
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
@@ -231,3 +277,66 @@ class TestEnergyEstimate:
         vec = PureStateVector(random_pure_vector(rng, 8))
         with pytest.raises(ValidationError):
             energy_estimate(vec, vec, H4, 3.0)
+
+
+def _energy(h: HermitianOperator, state: DensityMatrix) -> float:
+    return float(np.real(np.trace(h.matrix @ state.matrix)))
+
+
+class TestEnergyConvention:
+    """The energy control is read from the ground energy E0 of H."""
+
+    LEVELS = np.arange(4.0)
+    ENERGY_FIELDS = ("energy_limit", "energy_tau_plus", "energy_tau_minus",
+                     "energy_bound_exact", "energy_bound_coarse")
+
+    def _pair(self, rng, shift, energy, spread=0.12):
+        # A pair at trace distance at most spread whose energies on
+        # levels 0..3 + shift are at most energy.
+        h = HermitianOperator(np.diag(self.LEVELS + shift))
+        while True:
+            rho, sigma = nearby_pair(rng, 4, spread)
+            if max(_energy(h, rho), _energy(h, sigma)) <= energy:
+                return rho, sigma
+
+    @pytest.mark.parametrize("shift", [-10.0, -0.5, 3.7, 100.0])
+    @pytest.mark.parametrize("epsilon", [None, 0.2])
+    def test_shift_moves_every_energy_field(self, rng, shift, epsilon):
+        rho, sigma = self._pair(rng, 0.0, 1.6)
+        base = afw_decompose(rho, sigma, H4, 1.6, epsilon=epsilon)
+        h = HermitianOperator(np.diag(self.LEVELS + shift))
+        cert = afw_decompose(rho, sigma, h, 1.6 + shift, epsilon=epsilon)
+        assert cert.overlap == base.overlap
+        assert cert.delta == base.delta
+        assert cert.mixing_residual == base.mixing_residual
+        assert np.array_equal(cert.tau_hat_plus.matrix, base.tau_hat_plus.matrix)
+        assert np.array_equal(cert.tau_hat_minus.matrix, base.tau_hat_minus.matrix)
+        for name in self.ENERGY_FIELDS:
+            assert getattr(cert, name) == pytest.approx(getattr(base, name) + shift,
+                                                        rel=1e-12), name
+        assert cert.energy_tau_plus <= cert.energy_bound_exact
+        assert cert.energy_tau_minus <= cert.energy_bound_exact
+        assert energy_estimate(cert.phi, cert.psi, h, 1.6 + shift) == pytest.approx(
+            cert.energy_bound_exact, rel=1e-12)
+
+    def test_negative_ground_control_is_an_upper_bound(self, rng):
+        # Levels 0..3 shifted by -10 at E = -9.4, eps = 0.2: (1 + c) E / delta^2
+        # would read far below the ground energy -10.
+        rho, sigma = self._pair(rng, -10.0, -9.4)
+        h = HermitianOperator(np.diag(self.LEVELS - 10.0))
+        cert = afw_decompose(rho, sigma, h, -9.4, epsilon=0.2)
+        assert cert.energy_bound_exact >= -10.0
+        assert cert.energy_tau_plus <= cert.energy_bound_exact
+        assert cert.energy_tau_minus <= cert.energy_bound_exact
+        assert cert.energy_bound_exact <= cert.energy_bound_coarse
+
+    @pytest.mark.parametrize("shift", [0.0, -10.0, 3.7])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.2, 0.5])
+    def test_coarse_control_is_the_bound_f_argument(self, rng, shift, epsilon):
+        energy = 1.6 + shift
+        rho, sigma = self._pair(rng, shift, energy, spread=0.04)
+        h = HermitianOperator(np.diag(self.LEVELS + shift))
+        model = SpectrumModel.explicit(np.linalg.eigvalsh(h.matrix))
+        cert = afw_decompose(rho, sigma, h, energy, epsilon=epsilon)
+        f_argument = continuity_bound("entropy", model, epsilon, energy).f_argument
+        assert cert.energy_bound_coarse == pytest.approx(f_argument, rel=1e-12)

@@ -320,9 +320,10 @@ class TestChannelMi:
     def test_decomposes_at_most_one_joint_sized_matrix(self, rng, monkeypatch,
                                                        kind, params, joint_sized):
         # d = 16, first call on a fresh plain Kraus family: attenuator has
-        # 16 Kraus operators and no Choi floor, so H(E) comes from the 16x16
-        # output N^c(rho); depolarizing has 257 > 16 * 16, so its 256x256 Choi
-        # matrix is decomposed once, for the split, and nothing else is
+        # 16 Kraus operators and no Choi floor, so the split decomposes their
+        # 16x16 Gram matrix and H(E) comes from the 16x16 output N^c(rho);
+        # depolarizing has 257 > 16 * 16, so its 257x257 Kraus Gram matrix is
+        # decomposed once, for the split, and nothing else is that large
         # (depolarizing_channel itself sets the split in closed form).
         ch = fresh_channel(kind, 16, params)
         rho = random_density(rng, 16)
@@ -337,17 +338,17 @@ class TestChannelMi:
             monkeypatch.setattr(np.linalg, name, recording)
         channel_mi(ch, rho)
         assert sizes
-        assert sizes.count(256) == joint_sized
-        assert all(n in (16, 256) for n in sizes)
+        assert sizes.count(257) == joint_sized
+        assert all(n in (16, 257) for n in sizes)
 
     def test_no_joint_sized_decomposition_after_the_choi_split(self, rng, monkeypatch):
         # d = 16: the first call on a fresh channel splits its Choi matrix;
         # only depolarizing, with 257 > 16 * 16 Kraus operators, decomposes
-        # the 256x256 Choi matrix for it.  After the split a channel with
-        # no Choi floor validates its two outputs, N(rho) and N^c(rho), with
-        # one eigvalsh each and purifies nothing; depolarizing, the one
-        # zoo channel with a floor, purifies rho with one eigh.  Nothing
-        # larger than the input dimension is decomposed.
+        # a joint-sized matrix for it, the 257x257 Kraus Gram matrix.  After
+        # the split a channel with no Choi floor validates its two outputs,
+        # N(rho) and N^c(rho), with one eigvalsh each and purifies nothing;
+        # depolarizing, the one zoo channel with a floor, purifies rho with
+        # one eigh.  Nothing larger than the input dimension is decomposed.
         rho = random_density(rng, 16)
         calls = []
         for name in ("eigh", "eigvalsh"):
@@ -362,7 +363,8 @@ class TestChannelMi:
             ch = fresh_channel(kind, 16, params)
             calls.clear()
             channel_mi(ch, rho)
-            assert [n for _, n in calls].count(256) <= (1 if kind == "depolarizing" else 0), kind
+            joint_sized = sum(n >= 256 for _, n in calls)
+            assert joint_sized <= (1 if kind == "depolarizing" else 0), kind
             calls.clear()
             channel_mi(ch, rho)
             names = [name for name, _ in calls]

@@ -575,6 +575,24 @@ class TestVerifyCommand:
         col = verify_mod.CSV_COLUMNS.index("bound")
         assert [r[col] for r in rows] == ["0.61235857930814008"] * 3
 
+    @pytest.mark.parametrize("sampler", ["boundary", "mixed"])
+    def test_pure_flag_contradicting_the_sampler_exits_one(self, capsys, sampler):
+        rc = main(["verify", "--family", "entropy", "--trials", "1", "--epsilons", "0.1",
+                   "--seed", "1", "--sampler", sampler, "--pure"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--pure" in captured.err and f"--sampler {sampler}" in captured.err
+
+    def test_pure_flag_alone_is_the_pure_sampler(self, capsys):
+        csvs = []
+        for flags in (["--pure"], ["--sampler", "pure"]):
+            rc = main(["verify", "--family", "entropy", "--trials", "2", "--epsilons", "0.1",
+                       "--seed", "1", *flags])
+            assert rc == 0
+            csvs.append(capsys.readouterr().out)
+        assert csvs[0] == csvs[1]
+
     @pytest.mark.parametrize("family", ["entropy", "channel-mi"])
     def test_pure_sampler_alone_draws_on_the_ancilla_dims(self, capsys, family):
         # --sampler pure without --pure also takes pure_dims, so f is not 0.

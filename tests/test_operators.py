@@ -15,7 +15,6 @@ from entrobound.operators import (
     aligned_purifications,
     eig_hermitian,
     fidelity,
-    jordan_parts,
     partial_trace,
     purify,
     tensor,
@@ -97,19 +96,6 @@ class TestSpectral:
         m = (g + g.conj().T) / 2
         expected = float(np.sum(np.linalg.svd(m, compute_uv=False)))
         assert trace_norm(m) == pytest.approx(expected, abs=1e-10)
-
-    def test_jordan_parts_diagonal(self):
-        pos, neg = jordan_parts(np.diag([2.0, -3.0]))
-        assert np.allclose(pos, np.diag([2.0, 0.0]), atol=1e-12)
-        assert np.allclose(neg, np.diag([0.0, 3.0]), atol=1e-12)
-
-    def test_jordan_parts_reconstruct_and_orthogonal(self, rng):
-        m = random_hermitian(rng, 5).matrix
-        pos, neg = jordan_parts(m)
-        assert np.allclose(pos - neg, m, atol=1e-12)
-        assert np.linalg.norm(pos @ neg) < 1e-12
-        assert np.linalg.eigvalsh(pos)[0] > -1e-12
-        assert np.linalg.eigvalsh(neg)[0] > -1e-12
 
 
 class TestComposite:

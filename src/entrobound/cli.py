@@ -40,6 +40,7 @@ from .serialization import (
 )
 from .verify import (
     LAA_QUANTITIES,
+    SAMPLERS,
     SWEEP_FAMILIES,
     SweepConfig,
     default_sweep_suite,
@@ -145,14 +146,16 @@ def _cmd_gibbs(args) -> int:
     if (args.energy is None) == (args.lam is None):
         raise ValidationError("gibbs: give exactly one of --energy or --lam")
     if args.energy is not None:
+        if not math.isfinite(args.energy):
+            raise ValidationError(f"--energy must be finite, got {args.energy}")
         sol = entropy_maximizer(model, args.energy)
         if sol.flag is not None:
             # A clamped multiplier misses E; report the mean energy of
             # the state at that multiplier, not the target.
             sol = dataclasses.replace(sol, energy=mean_energy(model, sol.lam))
     else:
-        if args.lam <= 0:
-            raise ValidationError(f"--lam must be positive, got {args.lam}")
+        if not 0 < args.lam < math.inf:
+            raise ValidationError(f"--lam must be positive and finite, got {args.lam}")
         log_z = log_partition(model, args.lam)
         energy = mean_energy(model, args.lam)
         sol = GibbsSolution(lam=args.lam, energy=energy,
@@ -404,7 +407,7 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--epsilons", type=_csv_floats, default=None)
     p_verify.add_argument("--energy", type=float, default=None)
     p_verify.add_argument("--seed", type=int, default=20240801)
-    p_verify.add_argument("--sampler", choices=("mixed", "pure", "boundary"), default=None)
+    p_verify.add_argument("--sampler", choices=SAMPLERS, default=None)
     p_verify.add_argument("--pure", action="store_true", default=None,
                           help="the pure sampler, as --sampler pure")
     p_verify.add_argument("--dims", type=_csv_ints, default=None,

@@ -8,8 +8,8 @@ keyed by (seed, epsilon_index, trial), so output is byte-identical
 across runs.
 
 Each quantity is one row of QUANTITIES: its bound preset, where the
-energy constraint sits, its default sweep, and a builder for the
-functional.  Sweeps, laa-check and the command line all read that table.
+energy constraint sits, its default sweep, its samplers, and builders
+for f and the pair draw.  Sweeps, laa-check and the CLI all read it.
 
 A row whose margin lies below MARGIN_TOL is a violation.
 """
@@ -47,6 +47,7 @@ MARGIN_TOL = -1e-9
 ANCHOR_FRACTION = 0.75
 BOUNDARY_FRACTION = 0.99
 DEFAULT_EPSILONS = (0.01, 0.05, 0.1, 0.25, 0.5)
+SAMPLERS = ("mixed", "boundary", "pure")
 # States per ensemble in a holevo sweep.
 ENSEMBLE_SIZE = 4
 
@@ -107,6 +108,17 @@ def _holevo(dims, levels, channel):
     return lambda ens: holevo_chi(ens)
 
 
+# Pair builders: (lifted, energy, anchor, lam, sampler) -> draw(rng, eps).
+# Like the functionals, the samplers are looked up here when a pair is drawn.
+
+def _state_pairs(lifted, energy, anchor, lam, sampler):
+    return lambda rng, eps: sample_state_pair(rng, lifted, energy, eps, sampler, anchor, lam)
+
+
+def _ensemble_pairs(lifted, energy, anchor, lam, sampler):
+    return lambda rng, eps: _sample_ensemble_pair(rng, lifted, energy, eps, anchor, ENSEMBLE_SIZE)
+
+
 def _ree_reference(rng, dim, rho, sigma):
     """Per-trial reference state for laa-check of the relative entropy.
 
@@ -146,8 +158,8 @@ class Quantity:
     spectrum its states are drawn on.  ``pure_dims`` replaces ``dims``
     when the pure sampler draws the states; f traces out its extra
     factors.  ``channel`` is the default channel of a channel quantity;
-    ``ensemble`` sweeps pairs of ensembles instead of states;
-    ``reference`` draws extra per-trial arguments of f in laa-check.
+    ``samplers`` are the samplers its sweeps take and ``pair`` builds
+    their draw; ``reference`` draws extra arguments of f in laa-check.
     """
 
     preset: str
@@ -159,7 +171,8 @@ class Quantity:
     axes: tuple = (0, 1)
     energy: float | None = None
     channel: tuple | None = None
-    ensemble: bool = False
+    samplers: tuple = SAMPLERS
+    pair: object = _state_pairs
     reference: object = None
 
 
@@ -174,7 +187,8 @@ QUANTITIES = {
     "gibbs-red": Quantity("ree", _coherence, dims=(8,), laa_factors=1, energy=3.0),
     "channel-mi": Quantity("channel-mi", _channel_mi, dims=(16,), pure_dims=(16, 2),
                            factors=(1, None), energy=2.0, channel=("attenuator", (0.8,))),
-    "holevo": Quantity("holevo", _holevo, dims=(8,), energy=3.0, ensemble=True),
+    "holevo": Quantity("holevo", _holevo, dims=(8,), energy=3.0, samplers=("mixed",),
+                       pair=_ensemble_pairs),
 }
 
 SWEEP_FAMILIES = tuple(name for name, q in QUANTITIES.items() if q.energy is not None)
@@ -225,8 +239,11 @@ class SweepConfig:
                 f"unknown sweep family {self.family!r}; available: {', '.join(SWEEP_FAMILIES)}"
             )
         q = QUANTITIES[self.family]
-        if self.sampler not in ("mixed", "pure", "boundary"):
-            raise ValidationError(f"unknown sampler {self.sampler!r}")
+        if self.sampler not in q.samplers:
+            raise ValidationError(f"{self.family} sweeps take the sampler(s) "
+                                  f"{', '.join(q.samplers)}; got {self.sampler!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         energy = q.energy if self.energy is None else float(self.energy)
@@ -300,13 +317,16 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class FamilyWiring:
-    """What the trial loop needs beyond the config: the constraint levels,
-    their value on every basis state of ``dims``, and the functional f.
+    """A resolved sweep: constraint levels, their value on every basis state
+    of ``dims``, the one spectrum it draws on and bounds with, f and
+    ``draw(rng, eps) -> (first, second, distance)``.
     """
 
     base_levels: tuple
     lifted_levels: np.ndarray = field(repr=False)
+    model: SpectrumModel
     f: object = field(repr=False)
+    draw: object = field(repr=False)
 
 
 def _lift_levels(dims, constraint_axes, base_levels) -> np.ndarray:
@@ -316,17 +336,28 @@ def _lift_levels(dims, constraint_axes, base_levels) -> np.ndarray:
 
 
 def resolve_wiring(config: SweepConfig) -> FamilyWiring:
-    """Constraint levels and f of a sweep, with its channel built."""
+    """Resolve a sweep: its channel, spectrum, anchor, f and draw."""
     q = QUANTITIES[config.family]
     axes, base = _constraint(q, config.dims)
     channel = None
     if config.channel is not None:
         kind, params = config.channel
         channel = make_channel(kind, config.dims[0], params)
+    model = SpectrumModel.explicit(base)
+    if config.energy <= model.ground_energy:
+        raise ValidationError(
+            f"sweep energy {config.energy} must exceed the ground level {model.ground_energy}"
+        )
+    lifted = _lift_levels(config.dims, axes, base)
+    lam = _anchor_lambda(model, config.energy)
+    anchor_p = _anchor_probabilities(lifted, lam)
+    anchor = (anchor_p, float(anchor_p @ lifted))
     return FamilyWiring(
         base_levels=base,
-        lifted_levels=_lift_levels(config.dims, axes, base),
+        lifted_levels=lifted,
+        model=model,
         f=q.build(config.dims, base, channel),
+        draw=q.pair(lifted, config.energy, anchor, lam, config.sampler),
     )
 
 
@@ -554,53 +585,22 @@ def _trial_rng(seed: int, eps_idx: int, trial: int):
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Execute a sweep; returns every row plus the violating subset."""
+    """Execute a sweep; returns every row plus the violating subset.
+
+    One bound per epsilon, then per trial one ``wiring.draw``, f twice
+    and one row, whatever the family and sampler.
+    """
     wiring = resolve_wiring(config)
-    lifted = wiring.lifted_levels
-    # The one spectrum of the sweep: states are drawn on it and bounded with its F.
-    model = SpectrumModel.explicit(wiring.base_levels)
-    if config.energy <= model.ground_energy:
-        raise ValidationError(
-            f"sweep energy {config.energy} must exceed the ground level {model.ground_energy}"
-        )
-    lam = _anchor_lambda(model, config.energy)
-    anchor_p = _anchor_probabilities(lifted, lam)
-    anchor = (anchor_p, float(anchor_p @ lifted))
-
-    q = QUANTITIES[config.family]
-
-    def run_one(eps_idx: int, eps: float, bound_value: float, trial: int) -> SweepRow:
-        rng = _trial_rng(config.seed, eps_idx, trial)
-        if q.ensemble:
-            first, second, _ = _sample_ensemble_pair(
-                rng, lifted, config.energy, eps, anchor, ENSEMBLE_SIZE
-            )
-        else:
-            first, second, _ = sample_state_pair(
-                rng, lifted, config.energy, eps, config.sampler,
-                anchor=anchor, damping=lam,
-            )
-        f_rho = wiring.f(first)
-        f_sigma = wiring.f(second)
-        diff = abs(f_rho - f_sigma)
-        return SweepRow(
-            trial=trial,
-            epsilon=eps,
-            energy=config.energy,
-            f_rho=f_rho,
-            f_sigma=f_sigma,
-            abs_diff=diff,
-            bound=bound_value,
-            margin=bound_value - diff,
-        )
-
+    preset = QUANTITIES[config.family].preset
     rows = []
     for eps_idx, eps in enumerate(config.epsilons):
-        res = continuity_bound(q.preset, model, eps, config.energy, pure=config.pure)
-        rows.extend(
-            run_one(eps_idx, eps, res.value, trial)
-            for trial in range(config.trials)
-        )
+        bound = continuity_bound(preset, wiring.model, eps, config.energy, pure=config.pure).value
+        for trial in range(config.trials):
+            first, second, _ = wiring.draw(_trial_rng(config.seed, eps_idx, trial), eps)
+            f_rho, f_sigma = wiring.f(first), wiring.f(second)
+            diff = abs(f_rho - f_sigma)
+            rows.append(SweepRow(trial, eps, config.energy, f_rho, f_sigma, diff,
+                                 bound, bound - diff))
     return SweepReport(
         config=config,
         rows=tuple(rows),
@@ -613,13 +613,13 @@ def default_sweep_suite(seed: int = 20240801, trials: int = 200) -> list[SweepCo
     """The standard certification battery, each sweep at its default energy.
 
     Every family but channel-mi, then channel-mi across the channel zoo,
-    then the pure variant of every family that samples states.  Sweep k
-    of the battery is seeded with seed + k.
+    then the pure variant of every family that takes the pure sampler.
+    Sweep k of the battery is seeded with seed + k.
     """
     plain = [(family, {}) for family in SWEEP_FAMILIES if family != "channel-mi"]
     zoo = [("channel-mi", {"channel": spec}) for spec in CHANNEL_ZOO_SPECS]
     pure = [(family, {"sampler": "pure"})
-            for family in SWEEP_FAMILIES if not QUANTITIES[family].ensemble]
+            for family in SWEEP_FAMILIES if "pure" in QUANTITIES[family].samplers]
     return [
         SweepConfig(family=family, seed=seed + k, trials=trials, **kw)
         for k, (family, kw) in enumerate(plain + zoo + pure)
@@ -665,6 +665,8 @@ def laa_check(quantity: str, dims, trials: int, seed: int) -> LaaReport:
         )
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     q = QUANTITIES[quantity]
     dims = tuple(int(d) for d in dims)
     _check_factors(f"laa-check of {quantity}", dims, q.laa_factors, q.laa_factors)

@@ -149,6 +149,20 @@ class TestGibbsCommand:
     def test_rejects_nonpositive_lambda(self, capsys):
         assert main(["gibbs", "--levels", "0,1", "--lam", "-1"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--levels", "0,1", "--lam", "nan"], "--lam must be positive and finite, got nan"),
+        (["--oscillator", "1", "--lam", "inf"], "--lam must be positive and finite, got inf"),
+        (["--levels", "0,1", "--energy", "nan"], "--energy must be finite, got nan"),
+        (["--oscillator", "1", "--energy", "inf"], "--energy must be finite, got inf"),
+    ])
+    def test_rejects_non_finite_inputs(self, capsys, argv, message):
+        # Each printed nan, exited 3 as a numerical failure, or raised a
+        # traceback from the Newton solve.
+        assert main(["gibbs", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_hamiltonian_file_input(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         path.write_text(json.dumps(encode_matrix(np.diag([0.0, 1.0]))))
@@ -584,6 +598,24 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "--pure" in captured.err and f"--sampler {sampler}" in captured.err
 
+    @pytest.mark.parametrize("flags", [["--pure"], ["--sampler", "boundary"],
+                                       ["--sampler", "pure"]])
+    def test_holevo_refuses_every_sampler_but_mixed(self, capsys, flags):
+        rc = main(["verify", "--family", "holevo", "--trials", "1", "--epsilons", "0.1",
+                   "--seed", "1", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: holevo sweeps take the sampler(s) mixed; got" in captured.err
+
+    @pytest.mark.parametrize("suite", [False, True], ids=["family", "suite"])
+    def test_negative_seed_exits_one(self, tmp_path, capsys, suite):
+        sweeps = ["--suite", "--out-dir", str(tmp_path)] if suite else ["--family", "entropy"]
+        assert main(["verify", "--trials", "1", "--seed", "-1", *sweeps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
     def test_pure_flag_alone_is_the_pure_sampler(self, capsys):
         csvs = []
         for flags in (["--pure"], ["--sampler", "pure"]):
@@ -624,6 +656,14 @@ class TestVerifyCommand:
 
 
 class TestLaaCheckCommand:
+    def test_negative_seed_exits_one(self, capsys):
+        rc = main(["laa-check", "--quantity", "entropy", "--dims", "4", "--trials", "2",
+                   "--seed", "-1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
     def test_passes_and_reports(self, capsys):
         rc = main(["laa-check", "--quantity", "entropy", "--dims", "4",
                    "--trials", "50", "--seed", "3"])

@@ -1,5 +1,6 @@
 """Verification harness: samplers, sweeps, determinism, mixing checks."""
 import argparse
+import dataclasses
 import io
 import math
 from types import SimpleNamespace
@@ -55,6 +56,25 @@ class TestSweepConfig:
     def test_rejects_unknown_sampler(self):
         with pytest.raises(ValidationError, match="sampler"):
             SweepConfig(family="entropy", energy=1.0, seed=1, sampler="thermal")
+
+    @pytest.mark.parametrize("sampler", ["boundary", "pure"])
+    def test_holevo_takes_only_the_mixed_sampler(self, sampler):
+        # The ensemble draw is mixed whatever the name, so another name
+        # would only relabel the sweep, and "pure" would print the
+        # pure-state bound for mixed ensembles.
+        with pytest.raises(ValidationError, match="holevo sweeps take the sampler.s. mixed;"):
+            SweepConfig(family="holevo", seed=1, sampler=sampler)
+
+    def test_every_quantity_names_its_samplers(self):
+        for family in SWEEP_FAMILIES:
+            q = verify_mod.QUANTITIES[family]
+            assert set(q.samplers) <= set(verify_mod.SAMPLERS)
+            for sampler in q.samplers:
+                assert SweepConfig(family=family, seed=1, sampler=sampler).sampler == sampler
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            SweepConfig(family="entropy", seed=-1)
 
     def test_pure_follows_the_sampler(self):
         assert SweepConfig(family="entropy", seed=1, sampler="pure").pure
@@ -338,6 +358,25 @@ class TestConfigDigest:
         monkeypatch.undo()
         assert report.config_digest == config_digest(small_config())
 
+    @pytest.mark.parametrize("family", ["entropy", "holevo"])
+    def test_every_row_is_drawn_through_the_wiring(self, monkeypatch, family):
+        # run_sweep draws each pair with wiring.draw, seeded per
+        # (seed, epsilon index, trial), for states and ensembles alike.
+        config = SweepConfig(family=family, seed=3, trials=2, epsilons=(0.1, 0.2))
+        wiring = resolve_wiring(config)
+        seen = []
+
+        def draw(rng, eps):
+            seen.append(eps)
+            return wiring.draw(rng, eps)
+
+        monkeypatch.setattr(verify_mod, "resolve_wiring",
+                            lambda c: dataclasses.replace(wiring, draw=draw))
+        report = run_sweep(config)
+        assert seen == [row.epsilon for row in report.rows] == [0.1, 0.1, 0.2, 0.2]
+        monkeypatch.undo()
+        assert report.rows == run_sweep(config).rows
+
 
 # config_digest of each default_sweep_suite() config, in suite order.
 # The digest hashes canonical JSON only, so it is the same on every
@@ -417,8 +456,7 @@ class TestRelativeEntropyOfEntanglement:
         def recording(config):
             wiring = original(config)
             f = wiring.f
-            return verify_mod.FamilyWiring(wiring.base_levels, wiring.lifted_levels,
-                                           lambda rho: states.append(rho) or f(rho))
+            return dataclasses.replace(wiring, f=lambda rho: states.append(rho) or f(rho))
 
         monkeypatch.setattr(verify_mod, "resolve_wiring", recording)
         run_sweep(SweepConfig(family="gibbs-red", seed=d, trials=2, dims=(d,)))
@@ -557,6 +595,10 @@ class TestLaaCheck:
     def test_rejects_nonpositive_factor_dim(self, quantity, dims):
         with pytest.raises(ValidationError, match=f"got dim {min(dims)} in dims"):
             laa_check(quantity, dims, trials=3, seed=1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            laa_check("entropy", (4,), trials=2, seed=-1)
 
     def test_quantity_list_is_frozen(self):
         assert LAA_QUANTITIES == ("entropy", "cond-entropy", "mutual-info", "ree", "gibbs-red")

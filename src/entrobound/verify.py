@@ -8,8 +8,8 @@ keyed by (seed, epsilon_index, trial), so output is byte-identical
 across runs.
 
 Each quantity is one row of QUANTITIES: its bound preset, where the
-energy constraint sits, its default sweep, its samplers, and builders
-for f and the pair draw.  Sweeps, laa-check and the CLI all read it.
+energy constraint sits, its default sweep, and builders for f and the
+pair draw.  Sweeps, laa-check and the command line all read that table.
 
 A row whose margin lies below MARGIN_TOL is a violation.
 """
@@ -119,6 +119,10 @@ def _ensemble_pairs(lifted, energy, anchor, lam, sampler):
     return lambda rng, eps: _sample_ensemble_pair(rng, lifted, energy, eps, anchor, ENSEMBLE_SIZE)
 
 
+# The samplers each pair builder takes: ensembles are drawn by mixing only.
+PAIR_SAMPLERS = {_state_pairs: SAMPLERS, _ensemble_pairs: ("mixed",)}
+
+
 def _ree_reference(rng, dim, rho, sigma):
     """Per-trial reference state for laa-check of the relative entropy.
 
@@ -158,8 +162,8 @@ class Quantity:
     spectrum its states are drawn on.  ``pure_dims`` replaces ``dims``
     when the pure sampler draws the states; f traces out its extra
     factors.  ``channel`` is the default channel of a channel quantity;
-    ``samplers`` are the samplers its sweeps take and ``pair`` builds
-    their draw; ``reference`` draws extra arguments of f in laa-check.
+    ``pair`` builds the sweep draw, whose samplers PAIR_SAMPLERS names;
+    ``reference`` draws extra per-trial arguments of f in laa-check.
     """
 
     preset: str
@@ -171,7 +175,6 @@ class Quantity:
     axes: tuple = (0, 1)
     energy: float | None = None
     channel: tuple | None = None
-    samplers: tuple = SAMPLERS
     pair: object = _state_pairs
     reference: object = None
 
@@ -187,8 +190,7 @@ QUANTITIES = {
     "gibbs-red": Quantity("ree", _coherence, dims=(8,), laa_factors=1, energy=3.0),
     "channel-mi": Quantity("channel-mi", _channel_mi, dims=(16,), pure_dims=(16, 2),
                            factors=(1, None), energy=2.0, channel=("attenuator", (0.8,))),
-    "holevo": Quantity("holevo", _holevo, dims=(8,), energy=3.0, samplers=("mixed",),
-                       pair=_ensemble_pairs),
+    "holevo": Quantity("holevo", _holevo, dims=(8,), energy=3.0, pair=_ensemble_pairs),
 }
 
 SWEEP_FAMILIES = tuple(name for name, q in QUANTITIES.items() if q.energy is not None)
@@ -239,9 +241,10 @@ class SweepConfig:
                 f"unknown sweep family {self.family!r}; available: {', '.join(SWEEP_FAMILIES)}"
             )
         q = QUANTITIES[self.family]
-        if self.sampler not in q.samplers:
+        samplers = PAIR_SAMPLERS[q.pair]
+        if self.sampler not in samplers:
             raise ValidationError(f"{self.family} sweeps take the sampler(s) "
-                                  f"{', '.join(q.samplers)}; got {self.sampler!r}")
+                                  f"{', '.join(samplers)}; got {self.sampler!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
@@ -317,13 +320,10 @@ class SweepReport:
 
 @dataclass(frozen=True)
 class FamilyWiring:
-    """A resolved sweep: constraint levels, their value on every basis state
-    of ``dims``, the one spectrum it draws on and bounds with, f and
-    ``draw(rng, eps) -> (first, second, distance)``.
+    """A resolved sweep: the one spectrum it draws on and bounds with, f
+    and ``draw(rng, eps) -> (first, second, distance)``.
     """
 
-    base_levels: tuple
-    lifted_levels: np.ndarray = field(repr=False)
     model: SpectrumModel
     f: object = field(repr=False)
     draw: object = field(repr=False)
@@ -353,8 +353,6 @@ def resolve_wiring(config: SweepConfig) -> FamilyWiring:
     anchor_p = _anchor_probabilities(lifted, lam)
     anchor = (anchor_p, float(anchor_p @ lifted))
     return FamilyWiring(
-        base_levels=base,
-        lifted_levels=lifted,
         model=model,
         f=q.build(config.dims, base, channel),
         draw=q.pair(lifted, config.energy, anchor, lam, config.sampler),
@@ -619,7 +617,7 @@ def default_sweep_suite(seed: int = 20240801, trials: int = 200) -> list[SweepCo
     plain = [(family, {}) for family in SWEEP_FAMILIES if family != "channel-mi"]
     zoo = [("channel-mi", {"channel": spec}) for spec in CHANNEL_ZOO_SPECS]
     pure = [(family, {"sampler": "pure"})
-            for family in SWEEP_FAMILIES if "pure" in QUANTITIES[family].samplers]
+            for family in SWEEP_FAMILIES if "pure" in PAIR_SAMPLERS[QUANTITIES[family].pair]]
     return [
         SweepConfig(family=family, seed=seed + k, trials=trials, **kw)
         for k, (family, kw) in enumerate(plain + zoo + pure)

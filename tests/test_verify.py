@@ -25,8 +25,10 @@ from entrobound.verify import (
     SweepConfig,
     _anchor_lambda,
     _anchor_probabilities,
+    _constraint,
     _diag_energy,
     _hilbert_schmidt_draw,
+    _lift_levels,
     _sample_ensemble_pair,
     config_digest,
     default_sweep_suite,
@@ -48,6 +50,12 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
+def lifted_levels(config):
+    """The constraint levels on every basis state of the sweep's dims."""
+    axes, base = _constraint(verify_mod.QUANTITIES[config.family], config.dims)
+    return _lift_levels(config.dims, axes, base)
+
+
 class TestSweepConfig:
     def test_rejects_unknown_family(self):
         with pytest.raises(ValidationError, match="family"):
@@ -64,13 +72,6 @@ class TestSweepConfig:
         # pure-state bound for mixed ensembles.
         with pytest.raises(ValidationError, match="holevo sweeps take the sampler.s. mixed;"):
             SweepConfig(family="holevo", seed=1, sampler=sampler)
-
-    def test_every_quantity_names_its_samplers(self):
-        for family in SWEEP_FAMILIES:
-            q = verify_mod.QUANTITIES[family]
-            assert set(q.samplers) <= set(verify_mod.SAMPLERS)
-            for sampler in q.samplers:
-                assert SweepConfig(family=family, seed=1, sampler=sampler).sampler == sampler
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
@@ -119,8 +120,7 @@ class TestResolveWiring:
     def test_entropy_defaults(self):
         config = SweepConfig(family="entropy", seed=1)
         assert (config.energy, config.dims, config.channel) == (2.0, (16,), None)
-        w = resolve_wiring(config)
-        assert w.base_levels == tuple(float(k) for k in range(16))
+        assert resolve_wiring(config).model.levels == tuple(float(k) for k in range(16))
 
     def test_gibbs_red_uses_ree_preset(self):
         assert verify_mod.QUANTITIES["gibbs-red"].preset == "ree"
@@ -144,7 +144,7 @@ class TestResolveWiring:
         config = SweepConfig(family="channel-mi", energy=2.0, seed=1, sampler="pure")
         assert config.dims == (16, 2)
         w = resolve_wiring(config)
-        assert np.array_equal(w.lifted_levels, np.repeat(np.arange(16.0), 2))
+        assert np.array_equal(lifted_levels(config), np.repeat(np.arange(16.0), 2))
         channel = verify_mod.make_channel("attenuator", 16, (0.8,))
         rng = np.random.default_rng(2)
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
@@ -156,26 +156,25 @@ class TestResolveWiring:
     def test_lifted_levels_cond_entropy(self):
         # Constraint on the second factor of a 4 x 4 system: the level
         # pattern repeats once per first-factor index.
-        w = resolve_wiring(SweepConfig(family="cond-entropy", energy=1.5, seed=1))
-        assert w.base_levels == (0.0, 1.0, 2.0, 3.0)
+        config = SweepConfig(family="cond-entropy", energy=1.5, seed=1)
+        assert resolve_wiring(config).model.levels == (0.0, 1.0, 2.0, 3.0)
         expected = np.tile(np.arange(4.0), 4)
-        assert np.array_equal(w.lifted_levels, expected)
+        assert np.array_equal(lifted_levels(config), expected)
 
     def test_lifted_levels_mutual_info(self):
         # Constraint on factors B and C of A x B x C with additive levels.
         config = SweepConfig(family="mutual-info", energy=2.0, seed=1)
         assert config.dims == (2, 2, 4)
-        w = resolve_wiring(config)
         base = [float(i + j) for i in range(2) for j in range(4)]
-        assert list(w.base_levels) == base
-        assert np.array_equal(w.lifted_levels, np.tile(base, 2))
+        assert list(_constraint(verify_mod.QUANTITIES["mutual-info"], config.dims)[1]) == base
+        assert np.array_equal(lifted_levels(config), np.tile(base, 2))
 
     def test_dim_shape_validation(self):
         with pytest.raises(ValidationError):
             SweepConfig(family="cond-entropy", energy=1.0, seed=1, dims=(4,))
         # channel-mi takes an ancilla after its channel input, as entropy does.
-        w = resolve_wiring(SweepConfig(family="channel-mi", energy=1.0, seed=1, dims=(4, 2)))
-        assert len(w.lifted_levels) == 8
+        assert len(lifted_levels(SweepConfig(family="channel-mi", energy=1.0, seed=1,
+                                             dims=(4, 2)))) == 8
 
 
 class TestSamplers:
@@ -358,25 +357,6 @@ class TestConfigDigest:
         monkeypatch.undo()
         assert report.config_digest == config_digest(small_config())
 
-    @pytest.mark.parametrize("family", ["entropy", "holevo"])
-    def test_every_row_is_drawn_through_the_wiring(self, monkeypatch, family):
-        # run_sweep draws each pair with wiring.draw, seeded per
-        # (seed, epsilon index, trial), for states and ensembles alike.
-        config = SweepConfig(family=family, seed=3, trials=2, epsilons=(0.1, 0.2))
-        wiring = resolve_wiring(config)
-        seen = []
-
-        def draw(rng, eps):
-            seen.append(eps)
-            return wiring.draw(rng, eps)
-
-        monkeypatch.setattr(verify_mod, "resolve_wiring",
-                            lambda c: dataclasses.replace(wiring, draw=draw))
-        report = run_sweep(config)
-        assert seen == [row.epsilon for row in report.rows] == [0.1, 0.1, 0.2, 0.2]
-        monkeypatch.undo()
-        assert report.rows == run_sweep(config).rows
-
 
 # config_digest of each default_sweep_suite() config, in suite order.
 # The digest hashes canonical JSON only, so it is the same on every
@@ -411,7 +391,7 @@ class TestOneSpectrumPerSweep:
     def test_bound_column_is_the_bound_of_the_constraint_levels(self, small_suite):
         # The states are drawn on the constraint levels, so F is theirs.
         for config, report in small_suite:
-            model = SpectrumModel.explicit(resolve_wiring(config).base_levels)
+            model = resolve_wiring(config).model
             preset = verify_mod.QUANTITIES[config.family].preset
             for row in report.rows:
                 want = continuity_bound(preset, model, row.epsilon, config.energy,

@@ -61,8 +61,9 @@ PRESETS: dict[str, BoundDescriptor] = {
     # Entropy of the constrained subsystem: concave (slack h2 above),
     # nonnegative, and at most the constrained maximum.
     "entropy": BoundDescriptor("entropy", 0.0, 1.0, 0.0, 1.0),
-    # Conditional entropy H(A|B) with the constraint on B: bounded by
-    # the B maximum on both sides, concave with slack h2.
+    # Conditional entropy H(A|B) with the constraint on A:
+    # -H(A) <= H(A|B) <= H(A) (Araki-Lieb, subadditivity) bounds it by the
+    # A maximum on both sides; concave with slack h2.
     "cond-entropy": BoundDescriptor("cond-entropy", 1.0, 1.0, 0.0, 1.0),
     # Mutual information I(A:B) inside a system with constrained part:
     # nonnegative, at most twice the constrained maximum, almost affine

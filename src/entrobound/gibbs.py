@@ -495,8 +495,11 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
     iterates reach it and stops when |mean_energy(lam) - energy| <=
     SOLVE_RTOL * max(1, |energy|).  A log-power spectrum is solved on
     the mean of its certified measure, which is finite at every lam and
-    truncation.  A clamped lam still gives an upper bound on F.
+    truncation.  A clamped lam still gives an upper bound on F.  A
+    non-finite E is refused.
     """
+    if not math.isfinite(energy):
+        raise ValidationError(f"solve_inverse_temperature: energy {energy!r} is not finite")
     ground = model.ground_energy
     if below_ground(energy, ground):
         raise ValidationError(

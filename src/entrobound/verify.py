@@ -183,7 +183,7 @@ QUANTITIES = {
     "entropy": Quantity("entropy", _entropy, dims=(16,), pure_dims=(16, 2), factors=(1, None),
                         laa_factors=1, energy=2.0),
     "cond-entropy": Quantity("cond-entropy", _cond_entropy, dims=(4, 4), factors=(2, 2),
-                             laa_factors=2, axes=(1, None), energy=1.5),
+                             laa_factors=2, energy=1.5),
     "mutual-info": Quantity("mutual-info", _mutual_info, dims=(2, 2, 4), factors=(2, None),
                             laa_factors=2, axes=(1, None), energy=2.0),
     "ree": Quantity("ree", _relative_entropy, laa_factors=1, reference=_ree_reference),

@@ -191,8 +191,9 @@ def test_criterion_1_exact_identities():
         phi, psi = cert.phi.vector, cert.psi.vector
         _, vecs = np.linalg.eigh(np.outer(phi, phi.conj()) - np.outer(psi, psi.conj()))
         top, bottom = vecs[:, -1], vecs[:, 0]
-        err_p = np.max(np.abs(np.outer(top, top.conj()) - cert.tau_hat_plus.matrix))
-        err_m = np.max(np.abs(np.outer(bottom, bottom.conj()) - cert.tau_hat_minus.matrix))
+        gp, gm = cert.gamma_plus.vector, cert.gamma_minus.vector
+        err_p = np.max(np.abs(np.outer(top, top.conj()) - np.outer(gp, gp.conj())))
+        err_m = np.max(np.abs(np.outer(bottom, bottom.conj()) - np.outer(gm, gm.conj())))
         if max(err_p, err_m) > 1e-8:
             failures.append(f"Jordan parts disagree with dense eigh by {max(err_p, err_m)}")
             break

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entrobound.afw import AfwCertificate, afw_decompose, energy_estimate, jordan_vectors
+from entrobound.afw import _jordan_pair, afw_decompose
 from entrobound.bounds import continuity_bound
 from entrobound.errors import ValidationError
 from entrobound.gibbs import SpectrumModel
@@ -32,6 +32,10 @@ def overlapping_pair(c: float, dim: int = 4):
     return PureStateVector(u), PureStateVector(v)
 
 
+def projector(state: PureStateVector) -> np.ndarray:
+    return np.outer(state.vector, state.vector.conj())
+
+
 def diagonal_states(rng, dim):
     p = rng.dirichlet(np.ones(dim) * 2.0)
     q = rng.dirichlet(np.ones(dim) * 2.0)
@@ -45,12 +49,12 @@ class TestJordanVectors:
         # which is p+ phi + q+ psi with p+ = c / (delta sqrt(2 (1 - delta))) and
         # q+ = -(1 - delta) / (delta sqrt(2 (1 - delta))).
         phi, psi = overlapping_pair(0.6)
-        gp, gm = jordan_vectors(phi, psi)
+        _, _, gp, _ = _jordan_pair(phi, psi)
         p_plus = 1.1858541225631423
         q_plus = -0.3952847075210474
         expected = p_plus * phi.vector + q_plus * psi.vector
-        sign = np.sign(np.real(np.vdot(expected, gp.vector)))
-        assert np.allclose(gp.vector * sign, expected, atol=1e-9)
+        sign = np.sign(np.real(np.vdot(expected, gp)))
+        assert np.allclose(gp * sign, expected, atol=1e-9)
 
     def test_matches_dense_eigenvectors(self, rng):
         # The closed form must agree with numpy's eigendecomposition of
@@ -62,13 +66,13 @@ class TestJordanVectors:
             if abs(phase) > 1e-12:
                 v = v * (phase.conjugate() / abs(phase))
             phi, psi = PureStateVector(u), PureStateVector(v)
-            gp, gm = jordan_vectors(phi, psi)
+            _, _, gp, gm = _jordan_pair(phi, psi)
             m = np.outer(u, u.conj()) - np.outer(psi.vector, psi.vector.conj())
             w, vecs = np.linalg.eigh(m)
             delta = 0.5 * trace_norm(m)
             assert w[-1] == pytest.approx(delta, abs=1e-10)
             assert w[0] == pytest.approx(-delta, abs=1e-10)
-            for got, dense in ((gp.vector, vecs[:, -1]), (gm.vector, vecs[:, 0])):
+            for got, dense in ((gp, vecs[:, -1]), (gm, vecs[:, 0])):
                 phase = np.vdot(dense, got)
                 assert abs(abs(phase) - 1.0) < 1e-8
                 assert np.allclose(got, dense * (phase / abs(phase)), atol=1e-8)
@@ -80,24 +84,24 @@ class TestJordanVectors:
         if abs(phase) > 1e-12:
             v = v * (phase.conjugate() / abs(phase))
         phi, psi = PureStateVector(u), PureStateVector(v)
-        gp, gm = jordan_vectors(phi, psi)
+        c, delta, gp, gm = _jordan_pair(phi, psi)
         m = np.outer(u, u.conj()) - np.outer(v, v.conj())
-        c = abs(np.vdot(u, v))
-        delta = math.sqrt(1 - c * c)
-        assert np.allclose(m @ gp.vector, delta * gp.vector, atol=1e-9)
-        assert np.allclose(m @ gm.vector, -delta * gm.vector, atol=1e-9)
+        assert c == pytest.approx(abs(np.vdot(u, v)), abs=1e-12)
+        assert delta == pytest.approx(math.sqrt(1 - c * c), abs=1e-12)
+        assert np.allclose(m @ gp, delta * gp, atol=1e-9)
+        assert np.allclose(m @ gm, -delta * gm, atol=1e-9)
 
     def test_orthogonal_pair_is_its_own_jordan_basis(self):
         # At c = 0 the half angle is 0: gamma+ = phi and gamma- = psi.
         phi, psi = overlapping_pair(0.0)
-        gp, gm = jordan_vectors(phi, psi)
-        assert np.array_equal(gp.vector, phi.vector)
-        assert np.array_equal(gm.vector, psi.vector)
+        _, _, gp, gm = _jordan_pair(phi, psi)
+        assert np.array_equal(gp, phi.vector)
+        assert np.array_equal(gm, psi.vector)
 
     def test_rejects_identical_states(self):
         phi, _ = overlapping_pair(0.6)
         with pytest.raises(ValidationError):
-            jordan_vectors(phi, phi)
+            _jordan_pair(phi, phi)
 
 
 class TestAfwDecomposeOptimal:
@@ -125,8 +129,8 @@ class TestAfwDecomposeOptimal:
         delta = w[-1]
         tau_hat_plus = np.outer(vecs[:, -1], vecs[:, -1])
         tau_hat_minus = np.outer(vecs[:, 0], vecs[:, 0])
-        assert np.allclose(cert.tau_hat_plus.matrix, tau_hat_plus, atol=1e-8)
-        assert np.allclose(cert.tau_hat_minus.matrix, tau_hat_minus, atol=1e-8)
+        assert np.allclose(projector(cert.gamma_plus), tau_hat_plus, atol=1e-8)
+        assert np.allclose(projector(cert.gamma_minus), tau_hat_minus, atol=1e-8)
 
         for hat, field in ((tau_hat_plus, cert.tau_plus), (tau_hat_minus, cert.tau_minus)):
             marg = partial_trace(DensityMatrix(hat), (4, 4), (0,))
@@ -138,16 +142,9 @@ class TestAfwDecomposeOptimal:
         rho = random_density(rng, 4)
         sigma = random_density(rng, 4)
         cert = afw_decompose(rho, sigma, H4, energy_limit=3.0)
-        lhs = (
-            np.outer(cert.phi.vector, cert.phi.vector.conj())
-            + cert.delta * cert.tau_hat_minus.matrix
-        ) / (1 + cert.delta)
-        assert np.max(np.abs(lhs - cert.omega_star.matrix)) <= 1e-9
-        rhs = (
-            np.outer(cert.psi.vector, cert.psi.vector.conj())
-            + cert.delta * cert.tau_hat_plus.matrix
-        ) / (1 + cert.delta)
-        assert np.max(np.abs(rhs - cert.omega_star.matrix)) <= 1e-9
+        lhs = (projector(cert.phi) + cert.delta * projector(cert.gamma_minus)) / (1 + cert.delta)
+        rhs = (projector(cert.psi) + cert.delta * projector(cert.gamma_plus)) / (1 + cert.delta)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9
         assert cert.mixing_residual <= 1e-9
 
     def test_optimal_mode_uses_fidelity(self, rng):
@@ -174,22 +171,23 @@ class TestAfwDecomposeOptimal:
         assert np.allclose(cert.tau_minus.matrix, sigma.matrix, atol=1e-12)
 
     def test_no_joint_sized_eigh(self, rng, monkeypatch):
-        # At d = 8 the Jordan parts come from the closed form, so no
-        # 64 x 64 matrix goes through np.linalg.eigh.
+        # At d = 8 the Jordan parts stay vectors and their marginals are
+        # 8 x 8 products, so no 64 x 64 matrix is decomposed.
         rho, sigma = nearby_pair(rng, 8, 0.1)
         h = HermitianOperator(np.diag(np.arange(8.0)))
-        sizes = []
-        original = np.linalg.eigh
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
 
-        def recording(a, *args, **kwargs):
-            sizes.append(np.shape(a)[0])
-            return original(a, *args, **kwargs)
+            def recording(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, np.shape(a)[0]))
+                return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", recording)
+            monkeypatch.setattr(np.linalg, name, recording)
         afw_decompose(rho, sigma, h, energy_limit=7.0)
         afw_decompose(rho, sigma, h, energy_limit=7.0, epsilon=0.2)
-        assert sizes
-        assert all(n == 8 for n in sizes)
+        assert {name for name, _ in calls} == {"eigh", "eigvalsh", "svd"}
+        assert all(n == 8 for _, n in calls), calls
 
 
 def nearby_pair(rng, dim, spread):
@@ -252,31 +250,21 @@ class TestAfwDecomposeDetuned:
             afw_decompose(rho, sigma, H4, energy_limit=1.5)
 
 
-class TestEnergyEstimate:
-    def test_matches_certificate(self, rng):
-        rho = random_density(rng, 4)
-        sigma = random_density(rng, 4)
-        cert = afw_decompose(rho, sigma, H4, energy_limit=3.0)
-        est = energy_estimate(cert.phi, cert.psi, H4, 3.0)
-        assert est == pytest.approx(cert.energy_bound_exact, rel=1e-9)
-
+class TestEnergyControl:
     def test_never_exceeds_coarse_bound(self, rng):
+        # Uhlmann-optimal pair: the coarse control at eps = delta^2 / 2 is
+        # 2 E / delta^2, and (1 + c) E / delta^2 never exceeds it.
         rho = random_density(rng, 4)
         sigma = random_density(rng, 4)
         cert = afw_decompose(rho, sigma, H4, energy_limit=3.0)
-        est = energy_estimate(cert.phi, cert.psi, H4, 3.0)
-        assert est <= 2 * 3.0 / cert.delta**2 + 1e-8
-
-    def test_rejects_high_energy_marginal(self):
-        top = PureStateVector(np.eye(16)[15])
-        other = PureStateVector(np.eye(16)[0])
-        with pytest.raises(ValidationError):
-            energy_estimate(top, other, H4, 1.0)
+        assert cert.energy_bound_coarse == pytest.approx(2 * 3.0 / cert.delta**2, rel=1e-12)
+        assert cert.energy_bound_exact <= cert.energy_bound_coarse
 
     def test_rejects_wrong_dims(self, rng):
-        vec = PureStateVector(random_pure_vector(rng, 8))
+        rho = random_density(rng, 4)
+        sigma = random_density(rng, 3)
         with pytest.raises(ValidationError):
-            energy_estimate(vec, vec, H4, 3.0)
+            afw_decompose(rho, sigma, H4, energy_limit=3.0)
 
 
 def _energy(h: HermitianOperator, state: DensityMatrix) -> float:
@@ -309,15 +297,13 @@ class TestEnergyConvention:
         assert cert.overlap == base.overlap
         assert cert.delta == base.delta
         assert cert.mixing_residual == base.mixing_residual
-        assert np.array_equal(cert.tau_hat_plus.matrix, base.tau_hat_plus.matrix)
-        assert np.array_equal(cert.tau_hat_minus.matrix, base.tau_hat_minus.matrix)
+        assert np.array_equal(cert.gamma_plus.vector, base.gamma_plus.vector)
+        assert np.array_equal(cert.gamma_minus.vector, base.gamma_minus.vector)
         for name in self.ENERGY_FIELDS:
             assert getattr(cert, name) == pytest.approx(getattr(base, name) + shift,
                                                         rel=1e-12), name
         assert cert.energy_tau_plus <= cert.energy_bound_exact
         assert cert.energy_tau_minus <= cert.energy_bound_exact
-        assert energy_estimate(cert.phi, cert.psi, h, 1.6 + shift) == pytest.approx(
-            cert.energy_bound_exact, rel=1e-12)
 
     def test_negative_ground_control_is_an_upper_bound(self, rng):
         # Levels 0..3 shifted by -10 at E = -9.4, eps = 0.2: (1 + c) E / delta^2

@@ -253,6 +253,15 @@ class TestBoundCommand:
         assert captured.out == ""
         assert f"error: continuity_bound: energy={energy}" in captured.err
 
+    def test_overflowing_f_argument_exits_one(self, capsys):
+        # E0 + (E - E0) / eps overflows to inf, where the oscillator has no solve.
+        rc = main(["bound", "--preset", "entropy", "--oscillator", "1", "--epsilon", "0.001",
+                   "--energy", "1e308"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: solve_inverse_temperature: energy inf is not finite" in captured.err
+
     NEGATIVE_GROUND = ["bound", "--preset", "entropy", "--levels=-10,-9,-8,-7,-6,-5,-4,-3"]
 
     @pytest.mark.parametrize("eps, energy, line", [

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, logsumexp, softmax
 
@@ -222,6 +222,13 @@ class TestInverseTemperatureSolve:
         with pytest.raises(ValidationError):
             solve_inverse_temperature(SINGLE_MODE, 0.3)
 
+    @pytest.mark.parametrize("model", [TWO_LEVEL, SINGLE_MODE, SpectrumModel.log_power(2.0)],
+                             ids=["explicit", "oscillator", "logpower"])
+    @pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_energy(self, model, energy):
+        with pytest.raises(ValidationError, match="not finite"):
+            solve_inverse_temperature(model, energy)
+
     def test_logpower_solve(self):
         sol = solve_inverse_temperature(SpectrumModel.log_power(3.0), 2.0)
         assert abs(mean_energy(SpectrumModel.log_power(3.0), sol.lam) - 2.0) <= 1e-8
@@ -311,17 +318,26 @@ class TestNewtonSolve:
         assert sol.lam == pytest.approx(math.log1p(1.0 / occupation) / omega, rel=1e-12, abs=0.0)
 
     @given(model=st.one_of(explicit_spectra(), oscillator_spectra))
+    @example(model=SpectrumModel.explicit((5e-324, 5e-324, 1.0)))
     @settings(max_examples=80, deadline=None)
     def test_clamp_flags(self, model):
-        # At the ground the cap is reported; at or above the mean level
-        # (explicit) or far above any probe (oscillator) the floor is.
+        # At the ground the cap is reported exactly when E is at or below
+        # the cap's mean, which rounds below a subnormal ground; at or above
+        # the mean level (explicit) or far above any probe (oscillator) the
+        # floor is.
         ground = model.ground_energy
         top = mean_level(model) if model.kind == "explicit" else 1e9 * len(model.frequencies)
-        for energy, lam, flag in ((ground, LAMBDA_CAP, "lambda_cap"),
+        capped = mean_energy(model, LAMBDA_CAP) >= ground
+        for energy, lam, flag in ((ground, LAMBDA_CAP, "lambda_cap" if capped else None),
                                   (top, LAMBDA_FLOOR, "lambda_floor")):
             sol = solve_inverse_temperature(model, energy)
-            assert (sol.lam, sol.flag) == (lam, flag)
-            assert sol.f_value == lam * energy + log_partition(model, lam)
+            assert sol.flag == flag
+            if flag is None:
+                tol = SOLVE_RTOL * max(1.0, abs(energy))
+                assert abs(mean_energy(model, sol.lam) - energy) <= tol
+            else:
+                assert sol.lam == lam
+            assert sol.f_value == sol.lam * energy + log_partition(model, sol.lam)
 
     def test_probes_go_through_module_mean_energy(self, monkeypatch):
         # perfbench's tracer counts gibbs.mean_energy calls per solve.
@@ -594,7 +610,7 @@ class TestMaxEntropy:
 class TestEntropyMaximizer:
     def test_uniform_state_at_or_above_the_mean_level(self):
         model = SpectrumModel.explicit((0.0, 1.0, 2.0))
-        for energy in (1.0, 1.7, 50.0):
+        for energy in (1.0, 1.7, 50.0, math.inf):
             sol = entropy_maximizer(model, energy)
             assert sol.lam == 0.0
             assert sol.energy == 1.0
@@ -605,6 +621,15 @@ class TestEntropyMaximizer:
         model = SpectrumModel.explicit((0.0, 1.0, 2.0))
         assert entropy_maximizer(model, 0.5) == solve_inverse_temperature(model, 0.5)
         assert entropy_maximizer(SINGLE_MODE, 1.5) == solve_inverse_temperature(SINGLE_MODE, 1.5)
+
+    @pytest.mark.parametrize("model, energy", [(SpectrumModel.explicit((0.0, 1.0, 2.0)), math.nan),
+                                               (SINGLE_MODE, math.inf), (SINGLE_MODE, math.nan)])
+    def test_non_finite_energy_is_refused(self, model, energy):
+        # The explicit uniform shortcut takes E = inf, never nan.
+        with pytest.raises(ValidationError):
+            entropy_maximizer(model, energy)
+        with pytest.raises(ValidationError):
+            max_entropy(model, energy)
 
 
 class TestOscillatorCap:

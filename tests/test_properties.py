@@ -21,7 +21,7 @@ from entrobound.operators import (
     purify,
     trace_norm,
 )
-from entrobound.afw import jordan_vectors
+from entrobound.afw import _jordan_pair
 from conftest import random_density
 
 probabilities = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
@@ -83,12 +83,10 @@ def test_jordan_vectors_reconstruct_difference(seed):
     c = abs(np.vdot(u, w))
     if c > 1.0 - 1e-6:
         return
-    gp, gm = jordan_vectors(PureStateVector(u), PureStateVector(w))
-    delta = math.sqrt(1.0 - c * c)
+    _, delta, gp, gm = _jordan_pair(PureStateVector(u), PureStateVector(w))
+    assert delta == pytest.approx(math.sqrt(1.0 - c * c), abs=1e-12)
     m = np.outer(u, u.conj()) - np.outer(w, w.conj())
-    rebuilt = delta * (
-        np.outer(gp.vector, gp.vector.conj()) - np.outer(gm.vector, gm.vector.conj())
-    )
+    rebuilt = delta * (np.outer(gp, gp.conj()) - np.outer(gm, gm.conj()))
     assert np.max(np.abs(rebuilt - m)) <= 1e-9
 
 

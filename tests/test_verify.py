@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import entrobound.verify as verify_mod
-from entrobound.bounds import continuity_bound
+from entrobound.bounds import PRESETS, continuity_bound
 from entrobound.cli import build_parser
 from entrobound.entropy import (
     conditional_entropy,
     relative_entropy,
     relative_entropy_of_coherence,
 )
+from entrobound.ensembles import Ensemble
 from entrobound.errors import ValidationError
 from entrobound.gibbs import SpectrumModel, gibbs_state, max_entropy, solve_inverse_temperature
 from entrobound.operators import DensityMatrix, HermitianOperator
@@ -154,11 +155,11 @@ class TestResolveWiring:
         assert w.f(rho) > 1e-3
 
     def test_lifted_levels_cond_entropy(self):
-        # Constraint on the second factor of a 4 x 4 system: the level
-        # pattern repeats once per first-factor index.
+        # Constraint on the first factor A of a 4 x 4 system: each level
+        # repeats once per second-factor index.
         config = SweepConfig(family="cond-entropy", energy=1.5, seed=1)
         assert resolve_wiring(config).model.levels == (0.0, 1.0, 2.0, 3.0)
-        expected = np.tile(np.arange(4.0), 4)
+        expected = np.repeat(np.arange(4.0), 4)
         assert np.array_equal(lifted_levels(config), expected)
 
     def test_lifted_levels_mutual_info(self):
@@ -364,7 +365,7 @@ class TestConfigDigest:
 # channel of a battery sweep drifted.
 SUITE_DIGESTS = (
     ("entropy", False, "b0f3b0dfcb94c0db647730740f6ddf1a2a55b1da23e9bd68344c1d322b13374b"),
-    ("cond-entropy", False, "742f554776721863af878d3cb11c69307bec767b11108a9646bdfb1b0fd26a31"),
+    ("cond-entropy", False, "da939969ced1c52d0e96124bc151d8d4dd785cd823ecae865cd9cab9de594101"),
     ("mutual-info", False, "7927f16235fe778b3ac5382618df0e4b8ceb71c1923c70a1c5e0793ec11f7f8d"),
     ("gibbs-red", False, "e8885866bd4588ffb324a89b2692f46e12d57cdbf9f54b92b418283515b6de20"),
     ("holevo", False, "dd8601ade2f0f8ce786429d306595021a8fdedf7ccd19dd848dfaf5bb5214a82"),
@@ -374,7 +375,7 @@ SUITE_DIGESTS = (
     ("channel-mi", False, "5dfd3271250c02c5c36c95358fe88955f8bfd633426c2b827fecee9980600aa0"),
     ("channel-mi", False, "8bf2107ee0e30ec3e5042187d2b45a87bc568eed165a298f145130beeb936991"),
     ("entropy", True, "810668fc010b86de4464fe30cbdd6d914bec730d8fc036c343b71aeb2fd985bb"),
-    ("cond-entropy", True, "41f244be6419ce211bc03d47b6dc3dc37108225c084bc4387a4339a6b0516c4c"),
+    ("cond-entropy", True, "dd0364291d916ba04977c60d5d9c2edbf2d750419b9fd7639631be5fdaf8cbc9"),
     ("mutual-info", True, "4e68436a46f7b63002a370ede7a326f2387dd71fdfc0d966d2c080b8ac9e17c0"),
     ("gibbs-red", True, "e76e1c874c2381c56af36ad8e943296e1b09f696789c6825a0e13f80a54d9b88"),
     ("channel-mi", True, "e5c26b65699f252adaf4c97c6583a7f29f803969116088694972576932fe2c35"),
@@ -474,6 +475,51 @@ class TestSuite:
         reports = run_suite(configs, on_report=seen.append)
         assert len(reports) == 2
         assert seen == reports
+
+
+class TestGrowthControl:
+    """-c_minus F(e) <= f <= c_plus F(e) at the constraint energy e.
+
+    The witnesses are product states, diagonal in the product basis: the
+    constrained factors in a Gibbs state of their levels (their ground at
+    lam = inf) and every other factor maximally mixed.  An ensemble
+    quantity takes the basis states under the same weights.
+    """
+
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES)
+    @pytest.mark.parametrize("lam", [math.inf, 2.0, 0.5, 0.0])
+    def test_witness_within_growth_control(self, family, lam):
+        config = SweepConfig(family=family, seed=1)
+        wiring = resolve_wiring(config)
+        lifted = lifted_levels(config)
+        excess = lifted - lifted.min()
+        weights = (excess == 0.0) if math.isinf(lam) else np.exp(-lam * excess)
+        p = weights / weights.sum()
+        if family == "holevo":
+            basis = np.eye(len(p))
+            f = wiring.f(Ensemble(tuple(p), tuple(DensityMatrix(np.diag(b)) for b in basis)))
+        else:
+            f = wiring.f(DensityMatrix(np.diag(p)))
+        desc = PRESETS[verify_mod.QUANTITIES[family].preset]
+        envelope = max_entropy(wiring.model, float(p @ lifted))
+        assert -desc.c_minus * envelope - 1e-9 <= f <= desc.c_plus * envelope + 1e-9, (
+            family, lam, f, envelope)
+
+    def test_cond_entropy_bound_covers_the_product_pair(self):
+        # rho = (I/128) x |0><0| and sigma = (I/256 + |0><0|/2) x |0><0| on
+        # 128 x 2 differ in H(A|B) by 1.7557.  With the constraint on B both
+        # have energy 0 and the bound read 1.386; on A it covers the pair.
+        config = SweepConfig(family="cond-entropy", seed=1, dims=(128, 2), energy=1.0)
+        wiring = resolve_wiring(config)
+        b0 = np.diag([1.0, 0.0])
+        rho = DensityMatrix(np.kron(np.eye(128) / 128, b0))
+        sigma = DensityMatrix(np.kron(np.eye(128) / 256 + np.diag(np.eye(128)[0]) / 2, b0))
+        diff = abs(wiring.f(rho) - wiring.f(sigma))
+        assert diff == pytest.approx(1.7557, abs=1e-4)
+        lifted = lifted_levels(config)
+        energy = max(_diag_energy(x.matrix, lifted) for x in (rho, sigma))
+        bound = continuity_bound("cond-entropy", wiring.model, 0.5, energy).value
+        assert diff <= bound
 
 
 class TestCoherenceQuantity:

@@ -19,7 +19,7 @@ from entrobound.entropy import (
 from entrobound.ensembles import Ensemble
 from entrobound.errors import ValidationError
 from entrobound.gibbs import SpectrumModel, gibbs_state, max_entropy, solve_inverse_temperature
-from entrobound.operators import DensityMatrix, HermitianOperator
+from entrobound.operators import DensityMatrix, HermitianOperator, trace_norm
 from entrobound.verify import (
     LAA_QUANTITIES,
     SWEEP_FAMILIES,
@@ -507,13 +507,15 @@ class TestGrowthControl:
 
     def test_cond_entropy_bound_covers_the_product_pair(self):
         # rho = (I/128) x |0><0| and sigma = (I/256 + |0><0|/2) x |0><0| on
-        # 128 x 2 differ in H(A|B) by 1.7557.  With the constraint on B both
-        # have energy 0 and the bound read 1.386; on A it covers the pair.
+        # 128 x 2 differ in H(A|B) by 1.7557.  Both have B energy 0, where a
+        # bound in F of B reads g(1) = 1.386 at eps = 1/2; the bound at
+        # their A energy covers the pair.
         config = SweepConfig(family="cond-entropy", seed=1, dims=(128, 2), energy=1.0)
         wiring = resolve_wiring(config)
         b0 = np.diag([1.0, 0.0])
         rho = DensityMatrix(np.kron(np.eye(128) / 128, b0))
         sigma = DensityMatrix(np.kron(np.eye(128) / 256 + np.diag(np.eye(128)[0]) / 2, b0))
+        assert 0.5 * trace_norm(rho.matrix - sigma.matrix) <= 0.5
         diff = abs(wiring.f(rho) - wiring.f(sigma))
         assert diff == pytest.approx(1.7557, abs=1e-4)
         lifted = lifted_levels(config)

@@ -135,8 +135,8 @@ def continuity_bound(preset, model: SpectrumModel, epsilon: float, energy: float
     F is max_entropy of ``model``, an upper bound on the entropy maximum,
     and E0 its ground energy, so shifting H and E by one constant leaves
     the bound unchanged.  E below E0 is refused; at E = E0, F is
-    ln(ground multiplicity).  ``epsilon = 0`` returns the continuous
-    extension 0.
+    ln(ground multiplicity).  An argument E0 + (E - E0)/e that overflows
+    to inf is refused.  ``epsilon = 0`` returns the continuous extension 0.
     """
     desc = _descriptor(preset)
     eps_eff = _effective_epsilon(epsilon, pure)
@@ -150,6 +150,10 @@ def continuity_bound(preset, model: SpectrumModel, epsilon: float, energy: float
         return _assemble(desc, epsilon, eps_eff, pure, energy)
     # An E within the tolerance below E0 reads F at E0.
     f_arg = ground + max(energy - ground, 0.0) / eps_eff
+    if not math.isfinite(f_arg):
+        raise ValidationError(
+            f"continuity_bound: F's argument E0 + (E - E0)/epsilon overflows at energy "
+            f"{energy!r} and epsilon {epsilon!r}; lower the energy or raise epsilon")
     f_value = max_entropy_with_tail(model, f_arg)
     return _assemble(desc, epsilon, eps_eff, pure, energy,
                      math.sqrt(2.0 * eps_eff), f_arg, f_value)

@@ -9,6 +9,11 @@ with its variance, which is -d mean / d lam.  Every spectrum takes one
 solve, a safeguarded Newton iteration on lam that checks the clamps on
 lam only when its iterates reach them; a log-power spectrum, which has no
 exact variance, takes the bracket's geometric midpoint at every step.
+A model keeps the constants the solve reads, each computed when first
+needed: its ground energy, mean level, Newton start (mode count and
+lowest excitation) and the mean energy at each clamp end, so a clamp
+check probes each end at most once per model.  ``max_entropy`` reads F
+from the same checked solve without building a ``GibbsSolution``.
 
 ln Z is exact for explicit levels and oscillator modes.  A log-power
 series is summed to its truncation and its remainder bounded by the
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +62,15 @@ class SpectrumModel:
 
     An explicit model also keeps its sorted levels as one read-only array,
     the attribute ``level_array`` (None for the other kinds), which the
-    partition function and every mean-energy probe read.
+    partition function and every mean-energy probe read.  The constants
+    the solve reads are kept the same way, outside the fields, so
+    equality, hashing and repr see the fields only; each is computed when
+    first read: ``ground_energy``, ``mean_level`` (the uniform state's
+    mean energy, None unless explicit), ``_newton_start`` (the mode count
+    and lowest excitation) and, in ``_end_means``, the mean energy at each
+    clamp end.  A solve computes an end's mean only when it has to check
+    that end, or when an iterate lands on it, and keeps it, so the clamp
+    checks probe each end at most once per model.
     """
 
     kind: str
@@ -102,8 +116,9 @@ class SpectrumModel:
                 raise ValidationError(
                     f"SpectrumModel: logpower exponent must satisfy q > 1, got {self.q!r}"
                 )
-        # Not a dataclass field, so equality, hashing and repr see the tuple only.
+        # Not dataclass fields, so equality, hashing and repr see the tuple only.
         object.__setattr__(self, "level_array", level_array)
+        object.__setattr__(self, "_end_means", {})
 
     @classmethod
     def explicit(cls, levels) -> "SpectrumModel":
@@ -119,13 +134,28 @@ class SpectrumModel:
     def log_power(cls, q: float, truncation: int = DEFAULT_TRUNCATION) -> "SpectrumModel":
         return cls(kind="logpower", q=float(q), truncation=truncation)
 
-    @property
+    @cached_property
     def ground_energy(self) -> float:
         if self.kind == "explicit":
             return self.levels[0]
         if self.kind == "oscillator":
             return 0.5 * sum(self.frequencies)
         return 0.0
+
+    @cached_property
+    def mean_level(self) -> float | None:
+        """Mean energy of the uniform state over explicit levels; None for the other kinds."""
+        return float(self.level_array.mean()) if self.kind == "explicit" else None
+
+    @cached_property
+    def _newton_start(self) -> tuple[int, float | None]:
+        """(modes, gap) of the Newton start: gap is the lowest excitation, None without one."""
+        if self.kind == "explicit":
+            ground = self.ground_energy
+            return 1, next((x - ground for x in self.levels if x > ground), None)
+        if self.kind == "oscillator":
+            return len(self.frequencies), min(self.frequencies)
+        return 1, math.log(2.0) ** self.q
 
     @property
     def ground_multiplicity(self) -> int:
@@ -409,7 +439,10 @@ def log_partition(model: SpectrumModel, lam: float) -> float:
     if model.kind == "explicit":
         return _logsumexp(-lam * model.level_array)
     if model.kind == "oscillator":
-        return sum(-0.5 * lam * f - _log1mexp(-lam * f) for f in model.frequencies)
+        log_z = 0.0
+        for f in model.frequencies:
+            log_z += -0.5 * lam * f - _log1mexp(-lam * f)
+        return log_z
     lead, rest = _logpower_log_measure(model, lam)
     return lead + rest
 
@@ -491,31 +524,44 @@ def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolut
     flagged rather than silently accepted: "lambda_floor" when E is at or
     above the floor's mean, else "lambda_cap" when E is at or below the
     cap's.  Every spectrum takes the safeguarded Newton iteration of
-    _newton_solve, which probes an end of the clamp range only when its
+    _newton_solve, which checks an end of the clamp range only when its
     iterates reach it and stops when |mean_energy(lam) - energy| <=
     SOLVE_RTOL * max(1, |energy|).  A log-power spectrum is solved on
     the mean of its certified measure, which is finite at every lam and
     truncation.  A clamped lam still gives an upper bound on F.  A
     non-finite E is refused.
     """
-    if not math.isfinite(energy):
-        raise ValidationError(f"solve_inverse_temperature: energy {energy!r} is not finite")
-    ground = model.ground_energy
-    if below_ground(energy, ground):
-        raise ValidationError(
-            f"solve_inverse_temperature: energy {energy!r} below the ground energy {ground!r}"
-        )
-    lam, flag = _newton_solve(model, energy, SOLVE_RTOL * max(1.0, abs(energy)))
+    lam, flag = _newton_solve(model, energy)
     log_z = log_partition(model, lam)
     return GibbsSolution(lam=lam, energy=energy, f_value=lam * energy + log_z,
                          log_z=log_z, flag=flag)
 
 
-def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[float, str | None]:
+def _end_mean(model: SpectrumModel, end: float) -> float:
+    """mean_energy at a clamp end, computed once per model and kept."""
+    mean = model._end_means.get(end)
+    if mean is None:
+        mean = model._end_means[end] = mean_energy(model, end)
+    return mean
+
+
+def _clamp(model: SpectrumModel, energy: float, floor_open: bool,
+           cap_open: bool) -> tuple[float, str] | None:
+    """The clamp end that holds E, flagged, checking each open end, floor first; else None."""
+    if floor_open and _end_mean(model, LAMBDA_FLOOR) <= energy:
+        return LAMBDA_FLOOR, "lambda_floor"
+    if cap_open and _end_mean(model, LAMBDA_CAP) >= energy:
+        return LAMBDA_CAP, "lambda_cap"
+    return None
+
+
+def _newton_solve(model: SpectrumModel, energy: float) -> tuple[float, str | None]:
     """Safeguarded Newton ("rtsafe") for lam with mean_energy(lam) = energy.
 
-    Returns (lam, flag), flag as solve_inverse_temperature documents it.
-    Solves g = ln((mean - E0) / (energy - E0)) = 0 in u = ln lam, where
+    Returns (lam, flag), flag as solve_inverse_temperature documents it,
+    after refusing a non-finite E and one below the ground energy; the
+    tolerance is SOLVE_RTOL * max(1, |E|).  Solves
+    g = ln((mean - E0) / (energy - E0)) = 0 in u = ln lam, where
     dg/du = -lam Var / (mean - E0).  For oscillators that form is close
     to linear at both ends: the excess mean - E0 goes as modes / lam for
     small lam and as exp(-gap lam) for large lam.  An explicit excess
@@ -536,40 +582,32 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
     more than the tolerance rules the floor out, and one below it by more
     rules the cap out; nearer E, rounding could put the end's computed
     mean on either side.  Before it returns or takes a midpoint, the
-    iteration probes each end not yet ruled out, floor first, and returns
-    that end, flagged, if E lies past its mean.  An end an iterate sat on
-    is not probed again: its probe's mean is reused.
+    iteration checks each end not yet ruled out, floor first, and returns
+    that end, flagged, if E lies past its mean.  The model keeps each
+    end's mean (SpectrumModel._end_means), from the first check that
+    needs it or from an iterate that sat on that end, so an end is probed
+    for its check at most once per model, and no more often than a solve
+    without the kept means would probe it.  E0, the gap and the mode count
+    are the model's kept constants too.
     """
+    if not math.isfinite(energy):
+        raise ValidationError(f"solve_inverse_temperature: energy {energy!r} is not finite")
     ground = model.ground_energy
+    if below_ground(energy, ground):
+        raise ValidationError(
+            f"solve_inverse_temperature: energy {energy!r} below the ground energy {ground!r}"
+        )
+    tol = SOLVE_RTOL * max(1.0, abs(energy))
     excess_target = energy - ground
-    explicit = model.kind == "explicit"
-    exact = model.kind != "logpower"
-    floor_out = cap_out = False
-    means = {}  # lam -> mean of every probe so far
-
-    def mean_at(end):
-        return means[end] if end in means else mean_energy(model, end)
-
-    def clamped():
-        nonlocal floor_out, cap_out
-        if not floor_out and mean_at(LAMBDA_FLOOR) <= energy:
-            return LAMBDA_FLOOR, "lambda_floor"
-        if not cap_out and mean_at(LAMBDA_CAP) >= energy:
-            return LAMBDA_CAP, "lambda_cap"
-        floor_out = cap_out = True
-        return None
-
-    if explicit:
-        modes, gap = 1, next((x - ground for x in model.levels if x > ground), None)
-    elif exact:
-        modes, gap = len(model.frequencies), min(model.frequencies)
-    else:
-        modes, gap = 1, math.log(2.0) ** model.q
+    modes, gap = model._newton_start
     if excess_target <= 0.0 or gap is None:
         # At or below E0 a clamp holds unless the cap's mean rounds below
         # E, and then the cap is within that rounding of E.  Without an
         # excitation the mean is one value at both ends, so a clamp holds.
-        return clamped() or (LAMBDA_CAP, None)
+        return _clamp(model, energy, True, True) or (LAMBDA_CAP, None)
+    explicit = model.kind == "explicit"
+    exact = model.kind != "logpower"
+    floor_out = cap_out = False
     lo, hi = LAMBDA_FLOOR, LAMBDA_CAP
     lam = min(max(math.log1p(modes * gap / excess_target) / gap, lo), hi)
     for _ in range(200):
@@ -577,7 +615,8 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
             mean, var = mean_energy(model, lam, variance=True)
         else:
             mean, var = mean_energy(model, lam), 0.0
-        means[lam] = mean
+        if lam == LAMBDA_FLOOR or lam == LAMBDA_CAP:
+            model._end_means[lam] = mean
         converged = abs(mean - energy) <= tol
         if mean > energy:
             lo = lam
@@ -593,8 +632,10 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
                 step = s
             elif lo < (s := lam * math.exp(min(du, 700.0))) < hi:
                 step = s
-        if (converged or step is None) and (flagged := clamped()):
-            return flagged
+        if converged or step is None:
+            if flagged := _clamp(model, energy, not floor_out, not cap_out):
+                return flagged
+            floor_out = cap_out = True
         if converged:
             # The last probe's own Newton step is free and squares the
             # error left within the tolerance, so lam does not depend on
@@ -602,7 +643,7 @@ def _newton_solve(model: SpectrumModel, energy: float, tol: float) -> tuple[floa
             return (lam if step is None else step), None
         lam = math.sqrt(lo * hi) if step is None else step
     # Out of iterations: an end left open may still hold E.
-    if flagged := clamped():
+    if flagged := _clamp(model, energy, not floor_out, not cap_out):
         return flagged
     raise NumericalError(
         f"solve_inverse_temperature: Newton iteration did not reach |mean - E| <= {tol!r} "
@@ -617,12 +658,16 @@ def max_entropy(model: SpectrumModel, energy: float) -> float:
     exact when ln Z is.  At E equal to the ground energy the value is
     ln(ground multiplicity) (a boundary extrapolation).  For explicit
     spectra with E at or above the uniform mean the constraint is
-    inactive and the value is ln(d).
+    inactive and the value is ln(d).  This is entropy_maximizer's F, from
+    the same checked solve, without building its GibbsSolution.
     """
     ground = model.ground_energy
     if abs(energy - ground) <= GROUND_TOL * max(1.0, abs(ground)):
         return math.log(model.ground_multiplicity)
-    return entropy_maximizer(model, energy).f_value
+    if model.kind == "explicit" and energy >= model.mean_level:
+        return math.log(len(model.levels))
+    lam, _ = _newton_solve(model, energy)
+    return lam * energy + log_partition(model, lam)
 
 
 def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
@@ -633,11 +678,9 @@ def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
     mean energy the mean level, F = ln Z = ln d).  Otherwise it is
     solve_inverse_temperature(model, E).
     """
-    if model.kind == "explicit":
-        uniform = float(model.level_array.mean())
-        if energy >= uniform:
-            log_d = math.log(len(model.levels))
-            return GibbsSolution(lam=0.0, energy=uniform, f_value=log_d, log_z=log_d)
+    if model.kind == "explicit" and energy >= model.mean_level:
+        log_d = math.log(len(model.levels))
+        return GibbsSolution(lam=0.0, energy=model.mean_level, f_value=log_d, log_z=log_d)
     return solve_inverse_temperature(model, energy)
 
 

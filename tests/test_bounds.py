@@ -124,6 +124,20 @@ class TestContinuityBound:
             assert str(info.value) == (
                 f"continuity_bound: energy {energy!r} below the ground energy {ground!r}")
 
+    @pytest.mark.parametrize("model,energy,epsilon,pure", [
+        (SINGLE_MODE, 1e308, 0.001, False),
+        (SpectrumModel.explicit(range(16)), 1e305, 0.01, True),
+        (SpectrumModel.log_power(2.5), 1.7e308, 0.5, False),
+    ], ids=["oscillator", "explicit-pure", "logpower"])
+    def test_rejects_an_overflowing_f_argument(self, model, energy, epsilon, pure):
+        # E0 + (E - E0)/eps_eff is inf; the message names the caller's E and
+        # epsilon, not the inf that the solve would see.
+        with pytest.raises(ValidationError) as info:
+            continuity_bound("entropy", model, epsilon, energy, pure=pure)
+        assert str(info.value) == (
+            f"continuity_bound: F's argument E0 + (E - E0)/epsilon overflows at energy "
+            f"{energy!r} and epsilon {epsilon!r}; lower the energy or raise epsilon")
+
     def test_energy_at_ground_reads_the_ground_multiplicity(self):
         model = SpectrumModel.explicit((-1.0, -1.0, 0.0))
         for energy in (-1.0, -1.0 - 1e-10):

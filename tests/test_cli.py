@@ -254,13 +254,16 @@ class TestBoundCommand:
         assert f"error: continuity_bound: energy={energy}" in captured.err
 
     def test_overflowing_f_argument_exits_one(self, capsys):
-        # E0 + (E - E0) / eps overflows to inf, where the oscillator has no solve.
+        # E0 + (E - E0) / eps overflows to inf: one error line names the
+        # given energy and epsilon and says which to change.
         rc = main(["bound", "--preset", "entropy", "--oscillator", "1", "--epsilon", "0.001",
                    "--energy", "1e308"])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: solve_inverse_temperature: energy inf is not finite" in captured.err
+        assert captured.err.splitlines() == [
+            "error: continuity_bound: F's argument E0 + (E - E0)/epsilon overflows at energy "
+            "1e+308 and epsilon 0.001; lower the energy or raise epsilon"]
 
     NEGATIVE_GROUND = ["bound", "--preset", "entropy", "--levels=-10,-9,-8,-7,-6,-5,-4,-3"]
 

@@ -14,6 +14,7 @@ from entrobound.entropy import binary_entropy, relative_entropy, thermal_entropy
 from entrobound.errors import NumericalError, ValidationError
 from entrobound.gibbs import (
     DEFAULT_LAMBDA_GRID,
+    GROUND_TOL,
     LAMBDA_CAP,
     LAMBDA_FLOOR,
     SOLVE_RTOL,
@@ -81,6 +82,22 @@ class TestSpectrumModel:
         assert same == m and hash(same) == hash(m) and "level_array" not in repr(m)
         assert SINGLE_MODE.level_array is None
         assert SpectrumModel.log_power(2.0).level_array is None
+
+    @pytest.mark.parametrize("make,energy", [
+        (lambda: SpectrumModel.explicit(range(16)), 2.0),
+        (lambda: SpectrumModel.oscillator((1.0, 1.5, 2.0)), 4.0),
+        (lambda: SpectrumModel.log_power(2.5), 3.0),
+    ], ids=["explicit", "oscillator3", "logpower"])
+    def test_kept_constants_stay_out_of_equality_hash_and_repr(self, make, energy):
+        # A solve keeps E0, the Newton start and the clamp ends' means on
+        # the model; an equal model that never solved must still match it.
+        solved, fresh = make(), make()
+        text = repr(fresh)
+        solve_inverse_temperature(solved, energy)
+        solve_inverse_temperature(solved, 1e9)
+        assert solved._end_means
+        assert solved == fresh and hash(solved) == hash(fresh)
+        assert repr(solved) == repr(fresh) == text
 
     def test_truncated_levels_oscillator(self):
         got = truncated_levels(SINGLE_MODE, 4)
@@ -349,7 +366,9 @@ class TestNewtonSolve:
         # Bisection took 30-50 probes per solve on this grid; the Newton
         # iteration must not drift back there.  With both clamp ends
         # probed before every solve the grid took 446 probes in all;
-        # probing an end only when the iterates reach it takes 414.
+        # probing an end only when the iterates reach it took 414, 164 of
+        # them at an end; keeping each end's mean on the model takes 255,
+        # 5 of them at an end.
         calls = counting_probes(monkeypatch)
         models = (SpectrumModel.explicit(range(16)), SpectrumModel.oscillator((1.0,)),
                   SpectrumModel.oscillator((1.0, 1.5, 2.0)))
@@ -365,7 +384,19 @@ class TestNewtonSolve:
                 total += len(calls)
         assert len(worst) == 3
         assert max(worst.values()) <= 12, worst
-        assert total <= 414
+        assert total <= 255
+
+    def test_a_model_that_has_solved_takes_one_probe_per_single_mode_solve(self, monkeypatch):
+        # The start solves one mode exactly; the clamp checks that follow
+        # read the ends' means the first solve kept.  Probing both ends
+        # at every solve took 3 probes.
+        model = SpectrumModel.oscillator((1.0,))
+        solve_inverse_temperature(model, 2.0)
+        calls = counting_probes(monkeypatch)
+        for energy in (0.75, 5.0, 1e3):
+            calls.clear()
+            assert solve_inverse_temperature(model, energy).flag is None
+            assert len(calls) == 1, calls
 
     @pytest.mark.parametrize("model", [SpectrumModel.explicit(range(16)),
                                        SpectrumModel.oscillator((1.0, 1.5, 2.0))],
@@ -478,6 +509,24 @@ def test_exact_spectrum_solve_pinned_bit_for_bit(name, energy, lam, flag, f_valu
     assert (sol.lam.hex(), sol.flag, sol.f_value.hex()) == (lam, flag, f_value)
 
 
+def above_ground_tolerance(name, energy):
+    ground = PINNED_SPECTRA[name].ground_energy
+    return abs(float.fromhex(energy) - ground) > GROUND_TOL * max(1.0, abs(ground))
+
+
+@pytest.mark.parametrize("name,energy,lam,flag,f_value",
+                         [row for row in SOLVE_PINS if above_ground_tolerance(*row[:2])])
+def test_max_entropy_reads_the_pinned_f(name, energy, lam, flag, f_value):
+    # max_entropy builds no GibbsSolution; its F is the solve's bit for
+    # bit, or ln d where an explicit E reaches the mean level.
+    model = PINNED_SPECTRA[name]
+    e = float.fromhex(energy)
+    if model.kind == "explicit" and e >= mean_level(model):
+        f_value = math.log(len(model.levels)).hex()
+    assert max_entropy(model, e).hex() == f_value
+    assert max_entropy(model, e) == entropy_maximizer(model, e).f_value
+
+
 # F of solve_inverse_temperature(log_power(q), E) for E in geomspace(0.5, 40, 10),
 # as the bisection on the truncated series' mean printed it; None where it
 # refused because the solution needed more than N = 4096 terms.
@@ -500,8 +549,10 @@ class TestLogPowerSolve:
         (3.0, 25.0, "0x1.77e2f4c19cd27p-5", "0x1.0270dd591666ap+2"),
     ])
     def test_pinned_bit_for_bit(self, q, energy, lam, f_value):
-        sol = solve_inverse_temperature(SpectrumModel.log_power(q), energy)
+        model = SpectrumModel.log_power(q)
+        sol = solve_inverse_temperature(model, energy)
         assert (sol.lam.hex(), sol.f_value.hex(), sol.flag) == (lam, f_value, None)
+        assert max_entropy(model, energy).hex() == f_value
 
     @given(q=st.floats(1.5, 4.0), energy=st.floats(0.5, 1e6))
     @settings(max_examples=20, deadline=None)

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 from .entropy import thermal_entropy
 from .errors import ValidationError
-from .gibbs import SpectrumModel, below_ground, max_entropy
+from .gibbs import SpectrumModel, excess_energy, max_entropy_at_excess
 
 # F is called through this name: perfbench/tracing.py wraps
 # bounds.max_entropy_with_tail, so the name stays in this module.
-max_entropy_with_tail = max_entropy
+max_entropy_with_tail = max_entropy_at_excess
 
 EPSILON_MAX = 0.5
 
@@ -132,29 +132,25 @@ def continuity_bound(preset, model: SpectrumModel, epsilon: float, energy: float
                      pure: bool = False) -> BoundResult:
     """Energy-constrained bound (c- + c+) sqrt(2e) F(E0 + (E - E0)/e) + (a + b) g(sqrt(2e)).
 
-    F is max_entropy of ``model``, an upper bound on the entropy maximum,
-    and E0 its ground energy, so shifting H and E by one constant leaves
-    the bound unchanged.  E below E0 is refused; at E = E0, F is
-    ln(ground multiplicity).  An argument E0 + (E - E0)/e that overflows
-    to inf is refused.  ``epsilon = 0`` returns the continuous extension 0.
+    F is max_entropy_at_excess of ``model`` at (E - E0)/e, an upper bound
+    on the entropy maximum, with E0 its ground energy, so shifting H and
+    E by one constant leaves the bound unchanged.  E below E0 is refused;
+    at E = E0, F is ln(ground multiplicity).  An argument E0 + (E - E0)/e
+    that overflows to inf is refused.  ``epsilon = 0`` returns the continuous extension 0.
     """
     desc = _descriptor(preset)
     eps_eff = _effective_epsilon(epsilon, pure)
-    if not math.isfinite(energy):
-        raise ValidationError(f"continuity_bound: energy={energy!r} must be finite")
-    ground = model.ground_energy
-    if below_ground(energy, ground):
-        raise ValidationError(
-            f"continuity_bound: energy {energy!r} below the ground energy {ground!r}")
+    excess = excess_energy(model, energy, "continuity_bound", "energy={!r} must be finite")
     if eps_eff == 0.0:
         return _assemble(desc, epsilon, eps_eff, pure, energy)
     # An E within the tolerance below E0 reads F at E0.
-    f_arg = ground + max(energy - ground, 0.0) / eps_eff
+    f_excess = max(excess, 0.0) / eps_eff
+    f_arg = model.ground_energy + f_excess
     if not math.isfinite(f_arg):
         raise ValidationError(
             f"continuity_bound: F's argument E0 + (E - E0)/epsilon overflows at energy "
             f"{energy!r} and epsilon {epsilon!r}; lower the energy or raise epsilon")
-    f_value = max_entropy_with_tail(model, f_arg)
+    f_value = max_entropy_with_tail(model, f_excess)
     return _assemble(desc, epsilon, eps_eff, pure, energy,
                      math.sqrt(2.0 * eps_eff), f_arg, f_value)
 

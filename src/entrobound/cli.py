@@ -145,6 +145,8 @@ def _cmd_gibbs(args) -> int:
     model = _model_from_args(args)
     if (args.energy is None) == (args.lam is None):
         raise ValidationError("gibbs: give exactly one of --energy or --lam")
+    # The library's mean energy and ln Z are of H - E0; these print them of H.
+    ground = model.ground_energy
     if args.energy is not None:
         if not math.isfinite(args.energy):
             raise ValidationError(f"--energy must be finite, got {args.energy}")
@@ -152,21 +154,22 @@ def _cmd_gibbs(args) -> int:
         if sol.flag is not None:
             # A clamped multiplier misses E; report the mean energy of
             # the state at that multiplier, not the target.
-            sol = dataclasses.replace(sol, energy=mean_energy(model, sol.lam))
+            sol = dataclasses.replace(sol, energy=ground + mean_energy(model, sol.lam))
     else:
         if not 0 < args.lam < math.inf:
             raise ValidationError(f"--lam must be positive and finite, got {args.lam}")
         log_z = log_partition(model, args.lam)
-        energy = mean_energy(model, args.lam)
-        sol = GibbsSolution(lam=args.lam, energy=energy,
-                            f_value=args.lam * energy + log_z, log_z=log_z)
+        excess = mean_energy(model, args.lam)
+        sol = GibbsSolution(lam=args.lam, energy=ground + excess,
+                            f_value=args.lam * excess + log_z, log_z=log_z)
+    log_z = sol.log_z - sol.lam * ground
     unit = _unit(args.bits)
     payload = {
         "kind": model.kind,
         "lambda": sol.lam,
         "energy": sol.energy,
         "max_entropy": _entropic(sol.f_value, args.bits),
-        "log_partition": _entropic(sol.log_z, args.bits),
+        "log_partition": _entropic(log_z, args.bits),
         "unit": unit,
         "flag": sol.flag,
     }
@@ -175,7 +178,7 @@ def _cmd_gibbs(args) -> int:
         f"inverse temperature: {sol.lam:.12g}",
         f"mean energy: {sol.energy:.12g}",
         f"max entropy: {_entropic(sol.f_value, args.bits):.12g} {unit}",
-        f"log partition: {_entropic(sol.log_z, args.bits):.12g} {unit}",
+        f"log partition: {_entropic(log_z, args.bits):.12g} {unit}",
         f"flag: {sol.flag or 'none'}",
     ])
     return 0

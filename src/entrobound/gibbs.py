@@ -1,24 +1,23 @@
 """Gibbs states, constrained entropy maxima, and spectrum growth diagnostics.
 
 A spectrum model describes the eigenvalues of a (possibly unbounded)
-Hamiltonian.  The maximum entropy among states with mean energy <= E is
-attained by the Gibbs state at the inverse temperature lam(E) solving
-the mean-energy equation, and equals ``lam * E + ln Z(lam)``.  Where
-ln Z is exact (explicit levels, oscillator modes) the mean energy comes
-with its variance, which is -d mean / d lam.  Every spectrum takes one
-solve, a safeguarded Newton iteration on lam that checks the clamps on
-lam only when its iterates reach them; a log-power spectrum, which has no
-exact variance, takes the bracket's geometric midpoint at every step.
-A model keeps the constants the solve reads, each computed when first
-needed: its ground energy, mean level, Newton start (mode count and
-lowest excitation) and the mean energy at each clamp end, so a clamp
-check probes each end at most once per model.  ``max_entropy`` reads F
-from the same checked solve without building a ``GibbsSolution``.
+Hamiltonian H with ground energy E0.  This layer computes with one
+energy, the excess x = E - E0: ``log_partition`` and ``mean_energy`` are
+ln Z and the mean energy of H - E0, an explicit model keeps its
+excitations, and the oscillator forms have no zero-point term.  The
+maximum entropy among states with mean energy <= E0 + x is
+F = lam x + ln Z(lam) at the lam solving mean_energy(lam) = x, which no
+constant added to H and E alike can change.  An absolute E enters only
+at ``max_entropy``, ``solve_inverse_temperature``, ``entropy_maximizer``
+and ``bounds.continuity_bound``, each converting it once by
+``excess_energy``.  Every spectrum takes one safeguarded Newton solve on
+lam; a log-power spectrum, which has no exact variance, takes the
+bracket's geometric midpoint at every step.
 
 ln Z is exact for explicit levels and oscillator modes.  A log-power
 series is summed to its truncation and its remainder bounded by the
 comparison integral, so its ln Z is an upper bound, and so is every F
-taken from it: F(E) <= lam E + ln Z(lam) at every lam > 0 (the Gibbs
+taken from it: F <= lam x + ln Z(lam) at every lam > 0 (the Gibbs
 variational bound), however far the solve converged.  That series plus
 integral is the one measure a log-power spectrum has, finite at every
 lam > 0 and any truncation: its mean energy is -d ln Z / d lam of the
@@ -60,15 +59,15 @@ class SpectrumModel:
                        summed to ``truncation`` terms (default
                        DEFAULT_TRUNCATION); no other kind takes one.
 
-    An explicit model also keeps its sorted levels as one read-only array,
-    the attribute ``level_array`` (None for the other kinds), which the
-    partition function and every mean-energy probe read.  The constants
-    the solve reads are kept the same way, outside the fields, so
-    equality, hashing and repr see the fields only; each is computed when
-    first read: ``ground_energy``, ``mean_level`` (the uniform state's
-    mean energy, None unless explicit), ``_newton_start`` (the mode count
-    and lowest excitation) and, in ``_end_means``, the mean energy at each
-    clamp end.  A solve computes an end's mean only when it has to check
+    An explicit model also keeps its excitations (sorted levels less E0)
+    as one read-only array, ``level_array`` (None for the other kinds),
+    which ln Z and every mean-energy probe read.  The constants the solve
+    reads are kept the same way, outside the fields, so equality, hashing
+    and repr see the fields only; each is computed when first read:
+    ``ground_energy``, ``mean_excitation`` (the uniform state's, None
+    unless explicit), ``_newton_start`` (the mode count and lowest
+    excitation) and, in ``_end_means``, the mean energy at each clamp
+    end.  A solve computes an end's mean only when it has to check
     that end, or when an iterate lands on it, and keeps it, so the clamp
     checks probe each end at most once per model.
     """
@@ -102,7 +101,7 @@ class SpectrumModel:
             if not all(math.isfinite(x) for x in levels):
                 raise ValidationError("SpectrumModel: non-finite level")
             object.__setattr__(self, "levels", levels)
-            level_array = np.array(levels)
+            level_array = np.array(levels) - levels[0]
             level_array.flags.writeable = False
         elif self.kind == "oscillator":
             if not self.frequencies:
@@ -143,27 +142,22 @@ class SpectrumModel:
         return 0.0
 
     @cached_property
-    def mean_level(self) -> float | None:
-        """Mean energy of the uniform state over explicit levels; None for the other kinds."""
+    def mean_excitation(self) -> float | None:
+        """Mean excitation of the uniform state over explicit levels; None for the other kinds."""
         return float(self.level_array.mean()) if self.kind == "explicit" else None
 
     @cached_property
     def _newton_start(self) -> tuple[int, float | None]:
         """(modes, gap) of the Newton start: gap is the lowest excitation, None without one."""
         if self.kind == "explicit":
-            ground = self.ground_energy
-            return 1, next((x - ground for x in self.levels if x > ground), None)
+            return 1, next((float(x) for x in self.level_array if x > 0.0), None)
         if self.kind == "oscillator":
             return len(self.frequencies), min(self.frequencies)
         return 1, math.log(2.0) ** self.q
 
     @property
     def ground_multiplicity(self) -> int:
-        if self.kind == "explicit":
-            e0 = self.levels[0]
-            scale = max(1.0, abs(e0))
-            return sum(1 for x in self.levels if abs(x - e0) <= GROUND_TOL * scale)
-        return 1
+        return int(np.count_nonzero(self.level_array <= GROUND_TOL)) if self.kind == "explicit" else 1
 
 
 def truncated_levels(model: SpectrumModel, n: int) -> np.ndarray:
@@ -425,10 +419,10 @@ def certified_growth_lower(q: float, lam: float) -> float | None:
 
 
 def log_partition(model: SpectrumModel, lam: float) -> float:
-    """ln Z(lam), exact or (log-power) a certified upper bound.
+    """ln Z(lam) of H - E0, exact or (log-power) a certified upper bound.
 
-    Explicit spectra sum their levels.  Oscillator modes use the closed
-    form sum(-x/2 - ln(1 - e^-x)), x = lam * frequency.  Log-power
+    Explicit spectra sum their excitations.  Oscillator modes use the
+    closed form -sum(ln(1 - e^-x)), x = lam * frequency.  Log-power
     spectra sum N = truncation terms, S_N, and add the comparison
     integral T_N of the remainder: ln(S_N + T_N), the smaller log-added
     to the larger.  The summand decreases in k, so T_N bounds the
@@ -441,7 +435,7 @@ def log_partition(model: SpectrumModel, lam: float) -> float:
     if model.kind == "oscillator":
         log_z = 0.0
         for f in model.frequencies:
-            log_z += -0.5 * lam * f - _log1mexp(-lam * f)
+            log_z -= _log1mexp(-lam * f)
         return log_z
     lead, rest = _logpower_log_measure(model, lam)
     return lead + rest
@@ -457,7 +451,7 @@ def _log1mexp(log_x: float) -> float:
 
 
 def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
-    """Mean energy of the Gibbs distribution at inverse temperature lam.
+    """Mean energy of H - E0 in the Gibbs state at inverse temperature lam.
 
     Equals -d ln Z / d lam of log_partition's ln Z, so it decreases in
     lam.  For a log-power spectrum that is the mean of the certified
@@ -469,11 +463,11 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
     if lam <= 0:
         raise ValidationError(f"mean_energy: lam={lam!r} must be positive")
     if model.kind == "explicit":
-        levels = model.level_array
-        probs = _softmax(-lam * levels)
-        mean = float(probs @ levels)
+        excitations = model.level_array
+        probs = _softmax(-lam * excitations)
+        mean = float(probs @ excitations)
         if variance:
-            return mean, float(probs @ (levels - mean) ** 2)
+            return mean, float(probs @ (excitations - mean) ** 2)
         return mean
     if model.kind == "oscillator":
         total = 0.0
@@ -481,7 +475,7 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
         for f in model.frequencies:
             x = lam * f
             occupation = 1.0 / math.expm1(x) if x < 700.0 else 0.0
-            total += f * (occupation + 0.5)
+            total += f * occupation
             spread += f * f * occupation * (occupation + 1.0)
         return (total, spread) if variance else total
     if variance:
@@ -503,7 +497,7 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
 
 @dataclass(frozen=True)
 class GibbsSolution:
-    """Solution of the constrained entropy maximum at mean energy E."""
+    """The constrained entropy maximum at mean energy E of H; log_z is ln Z(lam) of H - E0."""
 
     lam: float
     energy: float
@@ -512,28 +506,44 @@ class GibbsSolution:
     flag: str | None = None
 
 
-def below_ground(energy: float, ground: float) -> bool:
-    """True when E lies below the ground energy by more than BELOW_GROUND_TOL, relative."""
-    return energy < ground - BELOW_GROUND_TOL * max(1.0, abs(ground))
+def excess_energy(model: SpectrumModel, energy: float, caller: str = "solve_inverse_temperature",
+                  not_finite: str = "energy {!r} is not finite") -> float:
+    """E - E0 for an energy E of H: the one conversion of an absolute energy.
+
+    Refuses, naming ``caller``, a non-finite E and an E below E0 by more
+    than BELOW_GROUND_TOL max(1, |E0|).
+    """
+    if not math.isfinite(energy):
+        raise ValidationError(f"{caller}: " + not_finite.format(energy))
+    ground = model.ground_energy
+    if energy < ground - BELOW_GROUND_TOL * max(1.0, abs(ground)):
+        raise ValidationError(f"{caller}: energy {energy!r} below the ground energy {ground!r}")
+    return energy - ground
+
+
+def _maximizer_excess(model: SpectrumModel, energy: float) -> float:
+    """excess_energy, except that E = inf lies above an explicit spectrum's mean level."""
+    if energy == math.inf and model.kind == "explicit":
+        return math.inf
+    return excess_energy(model, energy)
 
 
 def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolution:
-    """Solve mean_energy(lam) = energy for lam.
+    """Solve mean_energy(lam) = E - E0 for lam.
 
     lam is clamped to [LAMBDA_FLOOR, LAMBDA_CAP]; a clamped solve is
-    flagged rather than silently accepted: "lambda_floor" when E is at or
-    above the floor's mean, else "lambda_cap" when E is at or below the
-    cap's.  Every spectrum takes the safeguarded Newton iteration of
-    _newton_solve, which checks an end of the clamp range only when its
-    iterates reach it and stops when |mean_energy(lam) - energy| <=
-    SOLVE_RTOL * max(1, |energy|).  A log-power spectrum is solved on
-    the mean of its certified measure, which is finite at every lam and
-    truncation.  A clamped lam still gives an upper bound on F.  A
-    non-finite E is refused.
+    flagged rather than silently accepted: "lambda_floor" when x = E - E0
+    is at or above the floor's mean, else "lambda_cap" when it is at or
+    below the cap's.  _newton_solve stops when |mean_energy(lam) - x| <=
+    SOLVE_RTOL * max(1, |x|).  A log-power spectrum is solved on the mean
+    of its certified measure, which is finite at every lam and
+    truncation.  A clamped lam still gives an upper bound on F.
+    excess_energy refuses a non-finite E and one below the ground.
     """
-    lam, flag = _newton_solve(model, energy)
+    excess = excess_energy(model, energy)
+    lam, flag = _newton_solve(model, excess)
     log_z = log_partition(model, lam)
-    return GibbsSolution(lam=lam, energy=energy, f_value=lam * energy + log_z,
+    return GibbsSolution(lam=lam, energy=energy, f_value=lam * excess + log_z,
                          log_z=log_z, flag=flag)
 
 
@@ -545,71 +555,57 @@ def _end_mean(model: SpectrumModel, end: float) -> float:
     return mean
 
 
-def _clamp(model: SpectrumModel, energy: float, floor_open: bool,
+def _clamp(model: SpectrumModel, excess: float, floor_open: bool,
            cap_open: bool) -> tuple[float, str] | None:
-    """The clamp end that holds E, flagged, checking each open end, floor first; else None."""
-    if floor_open and _end_mean(model, LAMBDA_FLOOR) <= energy:
+    """The clamp end that holds x, flagged, checking each open end, floor first; else None."""
+    if floor_open and _end_mean(model, LAMBDA_FLOOR) <= excess:
         return LAMBDA_FLOOR, "lambda_floor"
-    if cap_open and _end_mean(model, LAMBDA_CAP) >= energy:
+    if cap_open and _end_mean(model, LAMBDA_CAP) >= excess:
         return LAMBDA_CAP, "lambda_cap"
     return None
 
 
-def _newton_solve(model: SpectrumModel, energy: float) -> tuple[float, str | None]:
-    """Safeguarded Newton ("rtsafe") for lam with mean_energy(lam) = energy.
+def _newton_solve(model: SpectrumModel, excess: float) -> tuple[float, str | None]:
+    """Safeguarded Newton ("rtsafe") for lam with mean_energy(lam) = x, the excess.
 
-    Returns (lam, flag), flag as solve_inverse_temperature documents it,
-    after refusing a non-finite E and one below the ground energy; the
-    tolerance is SOLVE_RTOL * max(1, |E|).  Solves
-    g = ln((mean - E0) / (energy - E0)) = 0 in u = ln lam, where
-    dg/du = -lam Var / (mean - E0).  For oscillators that form is close
-    to linear at both ends: the excess mean - E0 goes as modes / lam for
-    small lam and as exp(-gap lam) for large lam.  An explicit excess
-    tends to the mean level minus E0 as lam -> 0, where g flattens in u,
-    so explicit levels try the same step in lam first, lam (1 + du).  A
-    log-power spectrum has no exact variance, so it takes no step.
+    Returns (lam, flag) as solve_inverse_temperature documents them.
+    Solves g = ln(mean / x) = 0 in u = ln lam, dg/du = -lam Var / mean.
+    For oscillators that form is close to linear at both ends: the mean
+    goes as modes / lam for small lam and as exp(-gap lam) for large lam.
+    An explicit mean tends to the mean excitation as lam -> 0, where g
+    flattens in u, so explicit levels try the same step in lam first,
+    lam (1 + du).  A log-power spectrum has no exact variance, so it
+    takes no step.
 
     The bracket starts at [LAMBDA_FLOOR, LAMBDA_CAP], unchecked, and
     shrinks with every probe; without a step, or with one that leaves
-    it, or with an excess or variance that underflows, the iteration
-    takes the bracket's geometric midpoint instead.  The start
-    ln(1 + modes gap / x) / gap, with x = energy - E0 and gap the lowest
-    excitation, solves a single mode exactly and tends to modes / x at
-    high energy.  The probe that meets the tolerance returns its own
-    Newton step when that stays in the bracket.
+    it, or with a mean or variance that underflows, the iteration takes
+    the bracket's geometric midpoint instead.  The start
+    ln(1 + modes gap / x) / gap, with gap the lowest excitation, solves a
+    single mode exactly and tends to modes / x at high energy.  The probe
+    that meets the tolerance returns its own Newton step when that stays
+    in the bracket.
 
-    Since the mean decreases in lam, a probe whose mean lies above E by
+    Since the mean decreases in lam, a probe whose mean lies above x by
     more than the tolerance rules the floor out, and one below it by more
-    rules the cap out; nearer E, rounding could put the end's computed
+    rules the cap out; nearer x, rounding could put the end's computed
     mean on either side.  Before it returns or takes a midpoint, the
     iteration checks each end not yet ruled out, floor first, and returns
-    that end, flagged, if E lies past its mean.  The model keeps each
-    end's mean (SpectrumModel._end_means), from the first check that
-    needs it or from an iterate that sat on that end, so an end is probed
-    for its check at most once per model, and no more often than a solve
-    without the kept means would probe it.  E0, the gap and the mode count
-    are the model's kept constants too.
+    that end, flagged, if x lies past its mean, as the model keeps it
+    (SpectrumModel._end_means).
     """
-    if not math.isfinite(energy):
-        raise ValidationError(f"solve_inverse_temperature: energy {energy!r} is not finite")
-    ground = model.ground_energy
-    if below_ground(energy, ground):
-        raise ValidationError(
-            f"solve_inverse_temperature: energy {energy!r} below the ground energy {ground!r}"
-        )
-    tol = SOLVE_RTOL * max(1.0, abs(energy))
-    excess_target = energy - ground
+    tol = SOLVE_RTOL * max(1.0, abs(excess))
     modes, gap = model._newton_start
-    if excess_target <= 0.0 or gap is None:
+    if excess <= 0.0 or gap is None:
         # At or below E0 a clamp holds unless the cap's mean rounds below
-        # E, and then the cap is within that rounding of E.  Without an
+        # x, and then the cap is within that rounding of x.  Without an
         # excitation the mean is one value at both ends, so a clamp holds.
-        return _clamp(model, energy, True, True) or (LAMBDA_CAP, None)
+        return _clamp(model, excess, True, True) or (LAMBDA_CAP, None)
     explicit = model.kind == "explicit"
     exact = model.kind != "logpower"
     floor_out = cap_out = False
     lo, hi = LAMBDA_FLOOR, LAMBDA_CAP
-    lam = min(max(math.log1p(modes * gap / excess_target) / gap, lo), hi)
+    lam = min(max(math.log1p(modes * gap / excess) / gap, lo), hi)
     for _ in range(200):
         if exact:
             mean, var = mean_energy(model, lam, variance=True)
@@ -617,23 +613,22 @@ def _newton_solve(model: SpectrumModel, energy: float) -> tuple[float, str | Non
             mean, var = mean_energy(model, lam), 0.0
         if lam == LAMBDA_FLOOR or lam == LAMBDA_CAP:
             model._end_means[lam] = mean
-        converged = abs(mean - energy) <= tol
-        if mean > energy:
+        converged = abs(mean - excess) <= tol
+        if mean > excess:
             lo = lam
         else:
             hi = lam
-        floor_out = floor_out or mean > energy + tol
-        cap_out = cap_out or mean < energy - tol
-        excess = mean - ground
+        floor_out = floor_out or mean > excess + tol
+        cap_out = cap_out or mean < excess - tol
         step = None
-        if excess > 0.0 and var > 0.0:
-            du = math.log(excess / excess_target) * excess / (lam * var)
+        if mean > 0.0 and var > 0.0:
+            du = math.log(mean / excess) * mean / (lam * var)
             if explicit and lo < (s := lam * (1.0 + du)) < hi:
                 step = s
             elif lo < (s := lam * math.exp(min(du, 700.0))) < hi:
                 step = s
         if converged or step is None:
-            if flagged := _clamp(model, energy, not floor_out, not cap_out):
+            if flagged := _clamp(model, excess, not floor_out, not cap_out):
                 return flagged
             floor_out = cap_out = True
         if converged:
@@ -642,46 +637,55 @@ def _newton_solve(model: SpectrumModel, energy: float) -> tuple[float, str | Non
             # where in the tolerance the iteration happened to land.
             return (lam if step is None else step), None
         lam = math.sqrt(lo * hi) if step is None else step
-    # Out of iterations: an end left open may still hold E.
-    if flagged := _clamp(model, energy, not floor_out, not cap_out):
+    # Out of iterations: an end left open may still hold x.
+    if flagged := _clamp(model, excess, not floor_out, not cap_out):
         return flagged
     raise NumericalError(
-        f"solve_inverse_temperature: Newton iteration did not reach |mean - E| <= {tol!r} "
-        f"for the {model.kind} spectrum at E={energy!r}"
+        f"solve_inverse_temperature: Newton iteration did not reach |mean - x| <= {tol!r} "
+        f"for the {model.kind} spectrum at x = E - E0 = {excess!r}"
     )
 
 
-def max_entropy(model: SpectrumModel, energy: float) -> float:
-    """Largest entropy among states of mean energy <= E, in nats.
+def max_entropy_at_excess(model: SpectrumModel, excess: float) -> float:
+    """F(E0 + x), the largest entropy among states of mean energy <= E0 + x, in nats.
 
-    lam E + ln Z(lam) at the solved lam: an upper bound at any lam > 0,
-    exact when ln Z is.  At E equal to the ground energy the value is
-    ln(ground multiplicity) (a boundary extrapolation).  For explicit
-    spectra with E at or above the uniform mean the constraint is
-    inactive and the value is ln(d).  This is entropy_maximizer's F, from
-    the same checked solve, without building its GibbsSolution.
+    lam x + ln Z(lam) at the solved lam, an upper bound at any lam > 0,
+    from entropy_maximizer's checked solve without its GibbsSolution;
+    ln(ground multiplicity) at |x| <= GROUND_TOL (a boundary
+    extrapolation); ln d for explicit levels at x at or above the mean
+    excitation, where the constraint is inactive.
     """
-    ground = model.ground_energy
-    if abs(energy - ground) <= GROUND_TOL * max(1.0, abs(ground)):
+    if abs(excess) <= GROUND_TOL:
         return math.log(model.ground_multiplicity)
-    if model.kind == "explicit" and energy >= model.mean_level:
+    if model.kind == "explicit" and excess >= model.mean_excitation:
         return math.log(len(model.levels))
-    lam, _ = _newton_solve(model, energy)
-    return lam * energy + log_partition(model, lam)
+    lam, _ = _newton_solve(model, excess)
+    return lam * excess + log_partition(model, lam)
+
+
+def max_entropy(model: SpectrumModel, energy: float) -> float:
+    """max_entropy_at_excess at E - E0 for an energy E of H (ln d at E = inf if explicit)."""
+    return max_entropy_at_excess(model, _maximizer_excess(model, energy))
 
 
 def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
-    """The Gibbs solution whose F max_entropy reports for E above the ground.
+    """The Gibbs solution whose F max_entropy reports at E.
 
-    For an explicit spectrum at E at or above the mean level the
-    constraint is inactive: the maximizer is the uniform state (lam = 0,
-    mean energy the mean level, F = ln Z = ln d).  Otherwise it is
-    solve_inverse_temperature(model, E).
+    For an explicit spectrum at E at or above the mean level the maximizer
+    is the uniform state (lam = 0, F = ln Z = ln d).  Otherwise it is
+    solve_inverse_temperature(model, E), whose F at the ground is
+    max_entropy's ln(ground multiplicity), with the clamped lam.
     """
-    if model.kind == "explicit" and energy >= model.mean_level:
+    excess = _maximizer_excess(model, energy)
+    at_ground = abs(excess) <= GROUND_TOL
+    if not at_ground and model.kind == "explicit" and excess >= model.mean_excitation:
         log_d = math.log(len(model.levels))
-        return GibbsSolution(lam=0.0, energy=model.mean_level, f_value=log_d, log_z=log_d)
-    return solve_inverse_temperature(model, energy)
+        return GibbsSolution(lam=0.0, energy=model.ground_energy + model.mean_excitation,
+                             f_value=log_d, log_z=log_d)
+    lam, flag = _newton_solve(model, excess)
+    log_z = log_partition(model, lam)
+    f_value = math.log(model.ground_multiplicity) if at_ground else lam * excess + log_z
+    return GibbsSolution(lam=lam, energy=energy, f_value=f_value, log_z=log_z, flag=flag)
 
 
 def oscillator_entropy_cap(frequencies, energy: float) -> float:
@@ -779,12 +783,11 @@ class GrowthReport:
 def entropy_growth_diagnostic(model: SpectrumModel, lambdas=None) -> GrowthReport:
     """Evaluate lam * ln Z on a descending grid and classify the trend.
 
-    Levels are measured from the ground energy, which keeps ln Z
-    nonnegative and the product's decay toward zero readable; F values
-    are unaffected by the shift.  ln Z and the mean energy are
-    log_partition's and mean_energy's, so a log-power model reads the
-    certified series-plus-integral measure at every lam, however short
-    its truncation.
+    ln Z and the mean energy are log_partition's and mean_energy's, of
+    H - E0, which keeps ln Z nonnegative and the product's decay toward
+    zero readable; a log-power model reads the certified
+    series-plus-integral measure at every lam, however short its
+    truncation.
     """
     grid = tuple(float(x) for x in (lambdas if lambdas is not None else DEFAULT_LAMBDA_GRID))
     if not grid or any(x <= 0 for x in grid):
@@ -792,17 +795,16 @@ def entropy_growth_diagnostic(model: SpectrumModel, lambdas=None) -> GrowthRepor
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("entropy_growth_diagnostic: lambda grid must be strictly descending")
 
-    ground = model.ground_energy
     lambda_g = []
     energies = []
     f_values = []
     notes = []
     for lam in grid:
-        g_shifted = log_partition(model, lam) + lam * ground
-        e_shifted = mean_energy(model, lam) - ground
-        lambda_g.append(lam * g_shifted)
-        energies.append(e_shifted)
-        f_values.append(lam * e_shifted + g_shifted)
+        log_z = log_partition(model, lam)
+        excess = mean_energy(model, lam)
+        lambda_g.append(lam * log_z)
+        energies.append(excess)
+        f_values.append(lam * excess + log_z)
 
     certified = None
     if model.kind == "logpower":

@@ -454,9 +454,7 @@ def _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget, band=None):
             t_lo = max(0.0, (lo - anchor_e) / (e_raw - anchor_e))
             t_hi = (hi - anchor_e) / (e_raw - anchor_e)
             t = rng.uniform(t_lo, t_hi)
-        mat = (1.0 - t) * np.diag(anchor_p) + t * raw
-        state = DensityMatrix(mat)
-        return state, _diag_energy(state.matrix, lifted)
+        return DensityMatrix((1.0 - t) * np.diag(anchor_p) + t * raw)
 
 
 def _feasible_pure_vector(rng, lifted, energy, damping, budget):
@@ -468,7 +466,7 @@ def _feasible_pure_vector(rng, lifted, energy, damping, budget):
         v /= np.linalg.norm(v)
         e = float(np.real(lifted @ (np.abs(v) ** 2)))
         if e <= energy:
-            return v, e
+            return v
 
 
 def sample_state_pair(rng, lifted, energy, epsilon, sampler, anchor=None, damping=None):
@@ -482,12 +480,12 @@ def sample_state_pair(rng, lifted, energy, epsilon, sampler, anchor=None, dampin
     """
     budget = _Budget()
     if sampler == "pure":
-        u, _ = _feasible_pure_vector(rng, lifted, energy, damping, budget)
+        u = _feasible_pure_vector(rng, lifted, energy, damping, budget)
         sin_a = epsilon * rng.uniform(0.3, 1.0)
         cos_a = math.sqrt(1.0 - sin_a * sin_a)
         while True:
             budget.spend()
-            w, _ = _feasible_pure_vector(rng, lifted, energy, damping, budget)
+            w = _feasible_pure_vector(rng, lifted, energy, damping, budget)
             w = w - (u.conj() @ w) * u
             norm = np.linalg.norm(w)
             if norm < 1e-12:
@@ -504,8 +502,8 @@ def sample_state_pair(rng, lifted, energy, epsilon, sampler, anchor=None, dampin
     band = None
     if sampler == "boundary":
         band = (BOUNDARY_FRACTION * energy, energy)
-    rho, _ = _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget, band)
-    nu, _ = _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget, band)
+    rho = _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget, band)
+    nu = _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget, band)
     unit = 0.5 * trace_norm(nu.matrix - rho.matrix)
     if unit < 1e-14:
         return rho, rho, 0.0
@@ -532,10 +530,8 @@ def _sample_ensemble_pair(rng, lifted, energy, epsilon, anchor, size):
     states = []
     nus = []
     for _ in range(size):
-        s, _ = _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget)
-        states.append(s)
-        n, _ = _feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget)
-        nus.append(n)
+        states.append(_feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget))
+        nus.append(_feasible_mixed(rng, lifted, energy, anchor_p, anchor_e, budget))
     total = epsilon * rng.uniform(0.3, 1.0)
     if rng.uniform() < 0.5:
         weight_cap, state_cap = 0.3 * total, 0.7 * total

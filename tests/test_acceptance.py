@@ -84,8 +84,8 @@ def test_criterion_1_exact_identities():
             failures.append(f"g dual forms differ at x={x}")
             break
 
-    # F = lam E + ln Z at the solved multiplier, against an
-    # independently summed Gibbs entropy, 1e-9.
+    # F = lam (E - E0) + ln Z(H - E0) at the solved multiplier, against
+    # an independently summed Gibbs entropy, 1e-9.
     spectra = (
         (SpectrumModel.explicit((0.0, 1.0)), 0.3),
         (SpectrumModel.explicit((0.0, 0.7, 1.1, 3.0)), 1.2),
@@ -96,7 +96,7 @@ def test_criterion_1_exact_identities():
 
     for model, energy in spectra:
         sol = solve_inverse_temperature(model, energy)
-        if abs(sol.f_value - (sol.lam * sol.energy + sol.log_z)) > 1e-9:
+        if abs(sol.f_value - (sol.lam * (sol.energy - model.ground_energy) + sol.log_z)) > 1e-9:
             failures.append(f"F identity broken for {model.kind}")
         count = len(model.levels) if model.kind == "explicit" else 4096
         levels = truncated_levels(model, count)

@@ -192,8 +192,13 @@ class TestEnvelopeEngine:
 class TestShiftInvariance:
     """The bound does not change when H and E move by the same constant."""
 
-    @pytest.mark.parametrize("shift", [-10.0, -0.5, 3.7, 100.0])
+    @pytest.mark.parametrize("shift", [-10.0, -0.5, 3.7, 100.0, 1e9, -1e9, -999999999.7, -1e12])
     def test_explicit_levels(self, shift):
+        # A shifted spectrum prints exactly what its own levels lowered by
+        # their ground print at E lowered the same way; at the large
+        # shifts both subtractions are exact, so the two are one spectrum
+        # and one energy.  Small shifts also match the levels before the
+        # shift, to rounding.
         rng = np.random.default_rng(17)
         presets = sorted(PRESETS)
         for _ in range(40):
@@ -203,10 +208,16 @@ class TestShiftInvariance:
             eps = float(rng.uniform(0.01, 0.5))
             pure = bool(rng.random() < 0.5)
             energy = float(rng.uniform(0.0, 3.0))
-            base = continuity_bound(preset, SpectrumModel.explicit(levels), eps, energy, pure=pure)
-            moved = continuity_bound(preset, SpectrumModel.explicit(levels + shift), eps,
+            shifted = levels + shift
+            moved = continuity_bound(preset, SpectrumModel.explicit(shifted), eps,
                                      energy + shift, pure=pure)
-            assert moved.value == pytest.approx(base.value, rel=1e-12)
+            lowered = continuity_bound(preset, SpectrumModel.explicit(shifted - shifted[0]), eps,
+                                       (energy + shift) - shifted[0], pure=pure)
+            assert moved.value == lowered.value
+            if abs(shift) <= 100.0:
+                base = continuity_bound(preset, SpectrumModel.explicit(levels), eps, energy,
+                                        pure=pure)
+                assert moved.value == pytest.approx(base.value, rel=1e-12)
 
     @pytest.mark.parametrize("freqs,max_excess,cases", [
         ((1.0,), 50.0, ((0.01, 0.02, False), (0.08, 1.0, False), (0.3, 2.0, False),

@@ -140,7 +140,22 @@ class TestGibbsCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["flag"] == "lambda_cap"
-        assert payload["energy"] == mean_energy(SpectrumModel.oscillator(1e-5), payload["lambda"])
+        # mean_energy is of H - E0; the command prints the mean energy of H.
+        model = SpectrumModel.oscillator(1e-5)
+        assert payload["energy"] == model.ground_energy + mean_energy(model, payload["lambda"])
+
+    @pytest.mark.parametrize("levels, energy, line", [
+        ("1000000,1000000,1000001", "1000000", "max entropy: 0.69314718056 nats"),
+        ("0,0.00001", "0", "max entropy: 0 nats"),
+    ])
+    def test_at_the_ground_prints_max_entropy(self, capsys, levels, energy, line):
+        # ln(ground multiplicity), as max_entropy gives; the solve at the
+        # clamped lam printed 0.693147659302 and 0.644396660074.
+        model = SpectrumModel.explicit(float(x) for x in levels.split(","))
+        assert main(["gibbs", "--levels", levels, "--energy", energy]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert line in out and "flag: lambda_cap" in out
+        assert line == f"max entropy: {max_entropy(model, float(energy)):.12g} nats"
 
     def test_requires_exactly_one_target(self, capsys):
         assert main(["gibbs", "--levels", "0,1"]) == 1
@@ -276,6 +291,17 @@ class TestBoundCommand:
         rc = main(self.NEGATIVE_GROUND + ["--epsilon", eps, f"--energy={energy}"])
         assert rc == 0
         assert line in capsys.readouterr().out.splitlines()
+
+    def test_ground_far_below_zero_prints_the_bound_of_the_lowered_levels(self, capsys):
+        # Levels -1e12 .. -1e12 + 15 and levels 0 .. 15, each at E0 +
+        # 0.4000244140625; lam E + ln Z of H once printed 2.07944154168
+        # for the first, reading every level within 1 of E0 as ground.
+        for first in (-10**12, 0):
+            levels = ",".join(str(first + k) for k in range(16))
+            energy = repr(first + 0.4000244140625)
+            assert main(["bound", "--preset", "entropy", f"--levels={levels}", "--epsilon", "0.5",
+                         f"--energy={energy}"]) == 0
+            assert "bound: 2.62286247481 nats" in capsys.readouterr().out.splitlines()
 
     def test_energy_below_ground_names_the_given_energy(self, capsys):
         # The F argument, E0 + (E - E0)/eps = -10.5, is not what the user gave.

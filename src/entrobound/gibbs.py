@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -65,8 +65,8 @@ class SpectrumModel:
     reads are kept the same way, outside the fields, so equality, hashing
     and repr see the fields only; each is computed when first read:
     ``ground_energy``, ``mean_excitation`` (the uniform state's, None
-    unless explicit), ``_newton_start`` (the mode count and lowest
-    excitation) and, in ``_end_means``, the mean energy at each clamp
+    unless explicit), ``_newton_start`` (the mode count and the gaps the
+    start reads) and, in ``_end_means``, the mean energy at each clamp
     end.  A solve computes an end's mean only when it has to check
     that end, or when an iterate lands on it, and keeps it, so the clamp
     checks probe each end at most once per model.
@@ -147,13 +147,14 @@ class SpectrumModel:
         return float(self.level_array.mean()) if self.kind == "explicit" else None
 
     @cached_property
-    def _newton_start(self) -> tuple[int, float | None]:
-        """(modes, gap) of the Newton start: gap is the lowest excitation, None without one."""
+    def _newton_start(self) -> tuple[int, float | None, float | None]:
+        """(modes, lowest excitation or None, mean frequency of several modes or None)."""
         if self.kind == "explicit":
-            return 1, next((float(x) for x in self.level_array if x > 0.0), None)
+            return 1, next((float(x) for x in self.level_array if x > 0.0), None), None
         if self.kind == "oscillator":
-            return len(self.frequencies), min(self.frequencies)
-        return 1, math.log(2.0) ** self.q
+            freqs = self.frequencies
+            return len(freqs), min(freqs), sum(freqs) / len(freqs) if len(freqs) > 1 else None
+        return 1, math.log(2.0) ** self.q, None
 
     @property
     def ground_multiplicity(self) -> int:
@@ -511,21 +512,15 @@ def excess_energy(model: SpectrumModel, energy: float, caller: str = "solve_inve
     """E - E0 for an energy E of H: the one conversion of an absolute energy.
 
     Refuses, naming ``caller``, a non-finite E and an E below E0 by more
-    than BELOW_GROUND_TOL max(1, |E0|).
+    than BELOW_GROUND_TOL plus 4 ulps of E0, the rounding an E computed at
+    E0 may carry.
     """
     if not math.isfinite(energy):
         raise ValidationError(f"{caller}: " + not_finite.format(energy))
     ground = model.ground_energy
-    if energy < ground - BELOW_GROUND_TOL * max(1.0, abs(ground)):
+    if energy < ground - (BELOW_GROUND_TOL + 4.0 * math.ulp(ground)):
         raise ValidationError(f"{caller}: energy {energy!r} below the ground energy {ground!r}")
     return energy - ground
-
-
-def _maximizer_excess(model: SpectrumModel, energy: float) -> float:
-    """excess_energy, except that E = inf lies above an explicit spectrum's mean level."""
-    if energy == math.inf and model.kind == "explicit":
-        return math.inf
-    return excess_energy(model, energy)
 
 
 def solve_inverse_temperature(model: SpectrumModel, energy: float) -> GibbsSolution:
@@ -582,9 +577,11 @@ def _newton_solve(model: SpectrumModel, excess: float) -> tuple[float, str | Non
     it, or with a mean or variance that underflows, the iteration takes
     the bracket's geometric midpoint instead.  The start
     ln(1 + modes gap / x) / gap, with gap the lowest excitation, solves a
-    single mode exactly and tends to modes / x at high energy.  The probe
-    that meets the tolerance returns its own Newton step when that stays
-    in the bracket.
+    single mode exactly and tends to modes / x at high energy.  Several
+    modes start midway to the same form at their mean frequency: as
+    f / (e^(lam f) - 1) falls and is convex in f, the two lie either side
+    of the solution.  The probe that meets the tolerance returns its own
+    Newton step when that stays in the bracket.
 
     Since the mean decreases in lam, a probe whose mean lies above x by
     more than the tolerance rules the floor out, and one below it by more
@@ -595,7 +592,7 @@ def _newton_solve(model: SpectrumModel, excess: float) -> tuple[float, str | Non
     (SpectrumModel._end_means).
     """
     tol = SOLVE_RTOL * max(1.0, abs(excess))
-    modes, gap = model._newton_start
+    modes, gap, mean_gap = model._newton_start
     if excess <= 0.0 or gap is None:
         # At or below E0 a clamp holds unless the cap's mean rounds below
         # x, and then the cap is within that rounding of x.  Without an
@@ -605,7 +602,10 @@ def _newton_solve(model: SpectrumModel, excess: float) -> tuple[float, str | Non
     exact = model.kind != "logpower"
     floor_out = cap_out = False
     lo, hi = LAMBDA_FLOOR, LAMBDA_CAP
-    lam = min(max(math.log1p(modes * gap / excess) / gap, lo), hi)
+    lam = math.log1p(modes * gap / excess) / gap
+    if mean_gap is not None:
+        lam = 0.5 * (lam + math.log1p(modes * mean_gap / excess) / mean_gap)
+    lam = min(max(lam, lo), hi)
     for _ in range(200):
         if exact:
             mean, var = mean_energy(model, lam, variance=True)
@@ -649,8 +649,7 @@ def _newton_solve(model: SpectrumModel, excess: float) -> tuple[float, str | Non
 def max_entropy_at_excess(model: SpectrumModel, excess: float) -> float:
     """F(E0 + x), the largest entropy among states of mean energy <= E0 + x, in nats.
 
-    lam x + ln Z(lam) at the solved lam, an upper bound at any lam > 0,
-    from entropy_maximizer's checked solve without its GibbsSolution;
+    lam x + ln Z(lam) at the solved lam, an upper bound at any lam > 0;
     ln(ground multiplicity) at |x| <= GROUND_TOL (a boundary
     extrapolation); ln d for explicit levels at x at or above the mean
     excitation, where the constraint is inactive.
@@ -665,27 +664,29 @@ def max_entropy_at_excess(model: SpectrumModel, excess: float) -> float:
 
 def max_entropy(model: SpectrumModel, energy: float) -> float:
     """max_entropy_at_excess at E - E0 for an energy E of H (ln d at E = inf if explicit)."""
-    return max_entropy_at_excess(model, _maximizer_excess(model, energy))
+    if energy == math.inf and model.kind == "explicit":
+        return math.log(len(model.levels))
+    return max_entropy_at_excess(model, excess_energy(model, energy))
 
 
 def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
     """The Gibbs solution whose F max_entropy reports at E.
 
-    For an explicit spectrum at E at or above the mean level the maximizer
-    is the uniform state (lam = 0, F = ln Z = ln d).  Otherwise it is
-    solve_inverse_temperature(model, E), whose F at the ground is
-    max_entropy's ln(ground multiplicity), with the clamped lam.
+    The uniform state (lam = 0, F = ln Z = ln d) for explicit levels at
+    E at or above the mean level, unless E is a ground not every level
+    shares; else solve_inverse_temperature(model, E), with F at the
+    ground max_entropy's ln(ground multiplicity) and the clamped lam.
     """
-    excess = _maximizer_excess(model, energy)
+    explicit = model.kind == "explicit"
+    excess = math.inf if explicit and energy == math.inf else excess_energy(model, energy)
     at_ground = abs(excess) <= GROUND_TOL
-    if not at_ground and model.kind == "explicit" and excess >= model.mean_excitation:
+    if explicit and excess >= model.mean_excitation and (
+            not at_ground or model.ground_multiplicity == len(model.levels)):
         log_d = math.log(len(model.levels))
         return GibbsSolution(lam=0.0, energy=model.ground_energy + model.mean_excitation,
                              f_value=log_d, log_z=log_d)
-    lam, flag = _newton_solve(model, excess)
-    log_z = log_partition(model, lam)
-    f_value = math.log(model.ground_multiplicity) if at_ground else lam * excess + log_z
-    return GibbsSolution(lam=lam, energy=energy, f_value=f_value, log_z=log_z, flag=flag)
+    sol = solve_inverse_temperature(model, energy)
+    return replace(sol, f_value=math.log(model.ground_multiplicity)) if at_ground else sol
 
 
 def oscillator_entropy_cap(frequencies, energy: float) -> float:

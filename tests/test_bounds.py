@@ -218,6 +218,11 @@ class TestShiftInvariance:
                 base = continuity_bound(preset, SpectrumModel.explicit(levels), eps, energy,
                                         pure=pure)
                 assert moved.value == pytest.approx(base.value, rel=1e-12)
+        # 1e-3 below E0 is refused at every shift; a tolerance that grew
+        # with |E0| accepted it at the shifts of 1e9 and 1e12.
+        for model in (SpectrumModel.explicit(shifted), SpectrumModel.explicit(shifted - shifted[0])):
+            with pytest.raises(ValidationError, match="below the ground energy"):
+                continuity_bound(preset, model, eps, model.ground_energy - 1e-3, pure=pure)
 
     @pytest.mark.parametrize("freqs,max_excess,cases", [
         ((1.0,), 50.0, ((0.01, 0.02, False), (0.08, 1.0, False), (0.3, 2.0, False),

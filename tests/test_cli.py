@@ -86,13 +86,16 @@ class TestGibbsCommand:
         assert payload["energy"] == pytest.approx(expected, rel=1e-9)
         assert payload["lambda"] == 1.0
 
-    def test_unconstrained_energy_reports_the_uniform_state(self, capsys):
-        rc = main(["gibbs", "--levels", "0,1,2", "--energy", "1.7"])
+    # Levels all at E0 have their mean level there: uniform at E0 too.
+    @pytest.mark.parametrize("levels, energy, d", [("0,1,2", "1.7", 3), ("1,1", "1", 2)])
+    def test_unconstrained_energy_reports_the_uniform_state(self, capsys, levels, energy, d):
+        rc = main(["gibbs", "--levels", levels, "--energy", energy])
         assert rc == 0
         out = capsys.readouterr().out
         assert "inverse temperature: 0\n" in out
         assert "mean energy: 1\n" in out
-        assert f"max entropy: {math.log(3.0):.12g} nats" in out
+        assert f"max entropy: {math.log(d):.12g} nats" in out
+        assert f"log partition: {math.log(d):.12g} nats" in out
         assert "flag: none" in out
 
     @pytest.mark.parametrize("levels, energies", [

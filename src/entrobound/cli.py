@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from decimal import ROUND_CEILING, Context, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ from .gibbs import (
     DEFAULT_TRUNCATION,
     GibbsSolution,
     SpectrumModel,
+    entropy_growth_diagnostic,
     entropy_maximizer,
     log_partition,
-    log_power_growth_diagnostic,
     mean_energy,
 )
 from .serialization import (
@@ -45,11 +46,17 @@ from .verify import (
     SweepConfig,
     default_sweep_suite,
     laa_check,
-    run_suite,
+    run_sweep,
 )
 
 LAA_SLACK_TOL = -1e-8
 LN2 = math.log(2.0)
+# Relative error budget of a bound term's float against the exact value of
+# its formula: 64 unit roundoffs (2^-53 each) for the float steps from the
+# inputs to the printed unit, bits included.
+BOUND_ROUNDING = 2.0 ** -47
+_SLACK = Decimal(BOUND_ROUNDING)
+_CEILING = Context(prec=12, rounding=ROUND_CEILING)
 # verify options that shape one sweep; --suite fixes all of them itself.
 SWEEP_OPTIONS = ("family", "epsilons", "energy", "sampler", "pure", "dims", "channel")
 
@@ -128,6 +135,15 @@ def _entropic(value: float, bits: bool) -> float:
     return value / LN2 if bits else value
 
 
+def _upper(value: float) -> str:
+    """The least 12-digit decimal at or above value + BOUND_ROUNDING |value|, as %.12g.
+
+    The decimal is rounded once, toward +inf, from the exact sum; the
+    float nearest it prints back as that same decimal.
+    """
+    return "%.12g" % float(_CEILING.fma(Decimal(abs(value)), _SLACK, Decimal(value)))
+
+
 def _unit(bits: bool) -> str:
     return "bits" if bits else "nats"
 
@@ -151,10 +167,6 @@ def _cmd_gibbs(args) -> int:
         if not math.isfinite(args.energy):
             raise ValidationError(f"--energy must be finite, got {args.energy}")
         sol = entropy_maximizer(model, args.energy)
-        if sol.flag is not None:
-            # A clamped multiplier misses E; report the mean energy of
-            # the state at that multiplier, not the target.
-            sol = dataclasses.replace(sol, energy=ground + mean_energy(model, sol.lam))
     else:
         if not 0 < args.lam < math.inf:
             raise ValidationError(f"--lam must be positive and finite, got {args.lam}")
@@ -209,11 +221,11 @@ def _cmd_bound(args) -> int:
     if result.energy is not None:
         lines.append(f"energy cap: {result.energy:.12g}")
     if result.f_value is not None:
-        lines.append(f"spectrum envelope term: {_entropic(result.f_value, args.bits):.12g} {unit}")
+        lines.append(f"spectrum envelope term: {_upper(_entropic(result.f_value, args.bits))} {unit}")
     lines.extend([
-        f"main term: {_entropic(result.main_term, args.bits):.12g} {unit}",
-        f"additive term: {_entropic(result.additive_term, args.bits):.12g} {unit}",
-        f"bound: {_entropic(result.value, args.bits):.12g} {unit}",
+        f"main term: {_upper(_entropic(result.main_term, args.bits))} {unit}",
+        f"additive term: {_upper(_entropic(result.additive_term, args.bits))} {unit}",
+        f"bound: {_upper(_entropic(result.value, args.bits))} {unit}",
     ])
     _emit(args, payload, lines)
     return 0
@@ -270,9 +282,10 @@ def _cmd_verify(args) -> int:
         configs = [SweepConfig(seed=args.seed, trials=args.trials, **given)]
         manifest_path = args.manifest
     summaries = []
-
-    def record(report):
-        config = report.config
+    total_violations = 0
+    for config in configs:
+        report = run_sweep(config)
+        total_violations += len(report.violations)
         name, path = config.family, args.out or "-"
         if args.suite:
             if config.channel is not None:
@@ -288,8 +301,6 @@ def _cmd_verify(args) -> int:
             print(f"{name}: {len(report.rows)} rows, "
                   f"{len(report.violations)} violations, "
                   f"worst margin {summary['worst_margin']:.3e}")
-
-    reports = run_suite(configs, on_report=record)
     if manifest_path is not None:
         manifest = {
             "tool": f"entrobound {__version__}",
@@ -301,7 +312,6 @@ def _cmd_verify(args) -> int:
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
-    total_violations = sum(len(r.violations) for r in reports)
     if total_violations:
         raise BoundViolationError(
             f"{total_violations} sweep rows exceeded their bound"
@@ -336,9 +346,8 @@ def _cmd_laa_check(args) -> int:
 
 
 def _cmd_lemma2(args) -> int:
-    report = log_power_growth_diagnostic(
-        args.q, lambdas=args.lambdas, truncation=args.truncation
-    )
+    report = entropy_growth_diagnostic(SpectrumModel.log_power(args.q, truncation=args.truncation),
+                                       args.lambdas)
     payload = jsonable(report)
     lines = [f"log-power exponent q: {args.q}"]
     for lam, prod, e_val, f_val in zip(

@@ -7,12 +7,11 @@ costs and is invariant under splitting a state into equal copies.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, as_real
 from .operators import DensityMatrix, tensor, trace_norm
 
 WEIGHT_TOL = 1e-10
@@ -29,14 +28,14 @@ class Ensemble:
     states: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(as_real(w, "Ensemble: each weight") for w in self.weights)
         states = tuple(self.states)
         if len(weights) != len(states) or not states:
             raise ValidationError("Ensemble: weights and states must be equal-length and nonempty")
         if any(w < -1e-12 for w in weights):
             raise ValidationError(f"Ensemble: negative weight in {weights}")
         total = sum(weights)
-        if abs(total - 1.0) > WEIGHT_TOL:
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise ValidationError(f"Ensemble: weights sum to {total!r}, not 1")
         dim = states[0].dim
         if any(st.dim != dim for st in states):

@@ -2,8 +2,7 @@
 
 Every quantity is returned in nats.  Relative entropy returns math.inf
 (an explicit value, never an exception) when the support of the first
-argument leaks out of the support of the second; differences of two
-infinite values are a hard error via ``checked_sub``.
+argument leaks out of the support of the second.
 """
 from __future__ import annotations
 
@@ -19,13 +18,6 @@ from .operators import (
     SubsystemShape,
     partial_trace,
 )
-
-
-def checked_sub(a: float, b: float) -> float:
-    """a - b on the extended reals; +inf - +inf is a hard error."""
-    if math.isinf(a) and math.isinf(b) and a == b:
-        raise ValidationError("checked_sub: inf - inf is undefined")
-    return a - b
 
 
 def _eta(x: np.ndarray) -> np.ndarray:
@@ -146,12 +138,9 @@ def conditional_entropy(rho_ab: DensityMatrix, shape) -> float:
 
 def holevo_chi(ensemble) -> float:
     """Holevo quantity chi = sum_i p_i H(rho_i || rho_bar), in nats."""
-    weights = ensemble.weights
-    states = ensemble.states
-    avg = sum(p * st.matrix for p, st in zip(weights, states))
-    rho_bar = DensityMatrix(avg)
+    rho_bar = ensemble.average()
     total = 0.0
-    for p, st in zip(weights, states):
+    for p, st in zip(ensemble.weights, ensemble.states):
         if p <= 0.0:
             continue
         total += p * relative_entropy(st, rho_bar)

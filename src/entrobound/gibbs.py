@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .entropy import von_neumann_entropy
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, as_real
 from .operators import DensityMatrix, HermitianOperator, eig_hermitian
 
 LAMBDA_FLOOR = 1e-8
@@ -45,7 +45,17 @@ SOLVE_RTOL = 1e-9
 GROUND_TOL = 1e-12
 BELOW_GROUND_TOL = 1e-9
 
-SPECTRUM_KINDS = ("explicit", "oscillator", "logpower")
+# The fields each kind takes, the first of them required.
+KIND_FIELDS = {"explicit": ("levels",), "oscillator": ("frequencies",),
+               "logpower": ("q", "truncation")}
+_KIND_NAMES = {"explicit": "an explicit", "oscillator": "an oscillator", "logpower": "a log-power"}
+
+
+def _numbers(values, field: str) -> tuple[float, ...]:
+    """A list field as floats; ValidationError for a str or a value that is no list."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise ValidationError(f"SpectrumModel: {field} must be a list of numbers, got {values!r}")
+    return tuple(as_real(x, f"SpectrumModel: an entry of {field}") for x in values)
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,12 @@ class SpectrumModel:
                        hbar_omega_i (k + 1/2) per mode.
     kind="logpower":   unbounded spectrum E_k = ln(k)**q for k >= 1,
                        summed to ``truncation`` terms (default
-                       DEFAULT_TRUNCATION); no other kind takes one.
+                       DEFAULT_TRUNCATION).
+
+    Each kind takes the fields KIND_FIELDS names, the first of them
+    required, and refuses any other field it is given.  Values must be
+    numbers (a str, bool or None is refused); a single number stands for
+    a one-mode list of frequencies.
 
     An explicit model also keeps its excitations (sorted levels less E0)
     as one read-only array, ``level_array`` (None for the other kinds),
@@ -79,41 +94,51 @@ class SpectrumModel:
     truncation: int | None = None
 
     def __post_init__(self):
-        if self.kind not in SPECTRUM_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KIND_FIELDS:
             raise ValidationError(f"SpectrumModel: unknown kind {self.kind!r}")
-        if self.kind != "logpower":
-            if self.truncation is not None:
-                raise ValidationError(
-                    f"SpectrumModel: truncation applies only to a log-power spectrum; "
-                    f"an {self.kind} spectrum has an exact ln Z"
-                )
-        elif self.truncation is None:
-            object.__setattr__(self, "truncation", DEFAULT_TRUNCATION)
-        elif type(self.truncation) is not int or self.truncation < 2:
+        takes = KIND_FIELDS[self.kind]
+        for kind, names in KIND_FIELDS.items():
+            for name in names:
+                if kind != self.kind and getattr(self, name) is not None:
+                    raise ValidationError(
+                        f"SpectrumModel: {name} applies only to {_KIND_NAMES[kind]} spectrum; "
+                        f"{_KIND_NAMES[self.kind]} spectrum takes "
+                        + ", ".join(repr(n) for n in takes))
+        if getattr(self, takes[0]) is None:
             raise ValidationError(
-                f"SpectrumModel: truncation must be an integer >= 2, got {self.truncation!r}"
-            )
+                f"SpectrumModel: {_KIND_NAMES[self.kind]} spectrum needs {takes[0]!r}")
         level_array = None
         if self.kind == "explicit":
-            if not self.levels:
-                raise ValidationError("SpectrumModel: explicit kind needs levels")
-            levels = tuple(sorted(float(x) for x in self.levels))
+            levels = tuple(sorted(_numbers(self.levels, "levels")))
+            if not levels:
+                raise ValidationError("SpectrumModel: an explicit spectrum needs levels")
             if not all(math.isfinite(x) for x in levels):
                 raise ValidationError("SpectrumModel: non-finite level")
             object.__setattr__(self, "levels", levels)
             level_array = np.array(levels) - levels[0]
             level_array.flags.writeable = False
         elif self.kind == "oscillator":
-            if not self.frequencies:
-                raise ValidationError("SpectrumModel: oscillator kind needs frequencies")
-            freqs = tuple(float(x) for x in self.frequencies)
+            freqs = self.frequencies
+            if np.isscalar(freqs) and not isinstance(freqs, (str, bytes)):
+                freqs = (freqs,)
+            freqs = _numbers(freqs, "frequencies")
+            if not freqs:
+                raise ValidationError("SpectrumModel: an oscillator spectrum needs frequencies")
             if any(f <= 0 or not math.isfinite(f) for f in freqs):
                 raise ValidationError(f"SpectrumModel: frequencies must be positive, got {freqs}")
             object.__setattr__(self, "frequencies", freqs)
         else:
-            if self.q is None or not math.isfinite(self.q) or self.q <= 1.0:
+            q = as_real(self.q, "SpectrumModel: the logpower exponent q")
+            if not math.isfinite(q) or q <= 1.0:
                 raise ValidationError(
-                    f"SpectrumModel: logpower exponent must satisfy q > 1, got {self.q!r}"
+                    f"SpectrumModel: logpower exponent must satisfy q > 1, got {q!r}"
+                )
+            object.__setattr__(self, "q", q)
+            if self.truncation is None:
+                object.__setattr__(self, "truncation", DEFAULT_TRUNCATION)
+            elif type(self.truncation) is not int or self.truncation < 2:
+                raise ValidationError(
+                    f"SpectrumModel: truncation must be an integer >= 2, got {self.truncation!r}"
                 )
         # Not dataclass fields, so equality, hashing and repr see the tuple only.
         object.__setattr__(self, "level_array", level_array)
@@ -121,17 +146,15 @@ class SpectrumModel:
 
     @classmethod
     def explicit(cls, levels) -> "SpectrumModel":
-        return cls(kind="explicit", levels=tuple(levels))
+        return cls(kind="explicit", levels=levels)
 
     @classmethod
     def oscillator(cls, frequencies) -> "SpectrumModel":
-        if np.isscalar(frequencies):
-            frequencies = (frequencies,)
-        return cls(kind="oscillator", frequencies=tuple(frequencies))
+        return cls(kind="oscillator", frequencies=frequencies)
 
     @classmethod
     def log_power(cls, q: float, truncation: int = DEFAULT_TRUNCATION) -> "SpectrumModel":
-        return cls(kind="logpower", q=float(q), truncation=truncation)
+        return cls(kind="logpower", q=q, truncation=truncation)
 
     @cached_property
     def ground_energy(self) -> float:
@@ -283,24 +306,16 @@ def quad(func, a: float, b: float, args=()) -> float:
 _LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-6
 
 
-def _logpower_log_integral(q: float, lam: float, u0: float, power_weight: float = 0.0) -> float:
-    """ln of integral_{u0}^inf u^power_weight * exp(u - lam u^q) du.
-
-    Equals ln of integral_{exp(u0)}^inf (ln x)^power_weight
-    exp(-lam ln(x)^q) dx after x = e^u.
-    """
-    top, rest = _logpower_integral_parts(q, lam, u0, power_weight)
-    return top + rest
-
-
 def _logpower_integral_parts(q: float, lam: float, u0: float,
                              power_weight: float) -> tuple[float, float]:
-    """(top, rest) with top + rest = _logpower_log_integral(q, lam, u0, power_weight).
+    """(top, rest) with top + rest = ln of integral_{u0}^inf u^power_weight exp(u - lam u^q) du.
 
-    top = max over u >= u0 of u - lam u^q is factored out so tiny lam
-    (huge peaks) cannot overflow.  It does not depend on the power
-    weight, so a ratio of two weights at the same (q, lam, u0) is
-    exp(rest - rest'), free of the cancellation of two logs near top.
+    That is ln of integral_{exp(u0)}^inf (ln x)^power_weight
+    exp(-lam ln(x)^q) dx after x = e^u.  top = max over u >= u0 of
+    u - lam u^q is factored out so tiny lam (huge peaks) cannot
+    overflow.  It does not depend on the power weight, so a ratio of two
+    weights at the same (q, lam, u0) is exp(rest - rest'), free of the
+    cancellation of two logs near top.
     Where the peak's u^q overflows a float (q near 1 at small lam), so
     does every mean energy there, and the integral is (inf, 0.0).
     """
@@ -670,38 +685,46 @@ def max_entropy(model: SpectrumModel, energy: float) -> float:
 
 
 def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
-    """The Gibbs solution whose F max_entropy reports at E.
+    """The Gibbs state whose F max_entropy reports at E, with that state's mean energy.
 
-    The uniform state (lam = 0, F = ln Z = ln d) for explicit levels at
-    E at or above the mean level, unless E is a ground not every level
-    shares; else solve_inverse_temperature(model, E), with F at the
-    ground max_entropy's ln(ground multiplicity) and the clamped lam.
+    The uniform state (lam = 0, F = ln Z = ln d, the mean level) for
+    explicit levels at E at or above the mean level, unless E is a ground
+    not every level shares.  At E0 (|E - E0| <= GROUND_TOL) the ground
+    limit, with no solve: lam at LAMBDA_CAP, flagged "lambda_cap", mean
+    energy E0 and F = ln Z(H - E0) = ln(ground multiplicity).  Else
+    solve_inverse_temperature(model, E); a clamped solve reports the mean
+    energy of the state at its clamped lam, which misses E.
     """
     explicit = model.kind == "explicit"
     excess = math.inf if explicit and energy == math.inf else excess_energy(model, energy)
     at_ground = abs(excess) <= GROUND_TOL
+    ground = model.ground_energy
     if explicit and excess >= model.mean_excitation and (
             not at_ground or model.ground_multiplicity == len(model.levels)):
         log_d = math.log(len(model.levels))
-        return GibbsSolution(lam=0.0, energy=model.ground_energy + model.mean_excitation,
+        return GibbsSolution(lam=0.0, energy=ground + model.mean_excitation,
                              f_value=log_d, log_z=log_d)
+    if at_ground:
+        log_g = math.log(model.ground_multiplicity)
+        return GibbsSolution(lam=LAMBDA_CAP, energy=ground, f_value=log_g, log_z=log_g,
+                             flag="lambda_cap")
     sol = solve_inverse_temperature(model, energy)
-    return replace(sol, f_value=math.log(model.ground_multiplicity)) if at_ground else sol
+    if sol.flag is None:
+        return sol
+    return replace(sol, energy=ground + _end_mean(model, sol.lam))
 
 
 def oscillator_entropy_cap(frequencies, energy: float) -> float:
     """Closed-form upper bound on the oscillator max entropy at energy E.
 
     ell ( ln((E + E0) / (ell Estar)) + 1 ) with E0 the zero-point energy
-    and Estar the geometric mean frequency; valid for E > E0.
+    and Estar the geometric mean frequency; valid for E > E0.  The
+    frequencies are those SpectrumModel.oscillator takes.
     """
-    if np.isscalar(frequencies):
-        frequencies = (frequencies,)
-    freqs = tuple(float(f) for f in frequencies)
-    if not freqs or any(f <= 0 for f in freqs):
-        raise ValidationError(f"oscillator_entropy_cap: invalid frequencies {freqs!r}")
+    model = SpectrumModel.oscillator(frequencies)
+    freqs = model.frequencies
     ell = len(freqs)
-    e0 = 0.5 * sum(freqs)
+    e0 = model.ground_energy
     if energy <= e0:
         raise ValidationError(
             f"oscillator_entropy_cap: energy {energy!r} must exceed the zero-point energy {e0!r}"
@@ -842,9 +865,3 @@ def entropy_growth_diagnostic(model: SpectrumModel, lambdas=None) -> GrowthRepor
         certified_lower=certified,
         notes=tuple(notes),
     )
-
-
-def log_power_growth_diagnostic(q: float, lambdas=None, truncation: int = DEFAULT_TRUNCATION) -> GrowthReport:
-    """Growth diagnostic for the log-power spectrum E_k = ln(k)**q."""
-    model = SpectrumModel.log_power(q, truncation=truncation)
-    return entropy_growth_diagnostic(model, lambdas)

@@ -110,10 +110,6 @@ class PureStateVector:
     def dim(self) -> int:
         return self.vector.shape[0]
 
-    def density(self) -> DensityMatrix:
-        v = self.vector
-        return DensityMatrix(np.outer(v, v.conj()))
-
 
 @dataclass(frozen=True)
 class SubsystemShape:

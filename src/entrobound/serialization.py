@@ -19,6 +19,7 @@ from .gibbs import SpectrumModel
 from .operators import DensityMatrix, HermitianOperator
 
 FLOAT_FORMAT = "%.17g"
+SPECTRUM_FIELDS = {f.name for f in dataclasses.fields(SpectrumModel)}
 
 
 def format_float(x: float) -> str:
@@ -65,10 +66,6 @@ def load_json(path: str):
             raise ValidationError(f"{path}: invalid JSON ({exc})") from None
 
 
-def load_density(path: str) -> DensityMatrix:
-    return DensityMatrix(decode_matrix(load_json(path)))
-
-
 def load_hermitian(path: str) -> HermitianOperator:
     return HermitianOperator(decode_matrix(load_json(path)))
 
@@ -86,14 +83,10 @@ def decode_ensemble(obj) -> Ensemble:
     for field in ("weights", "states"):
         if field not in obj:
             raise ValidationError(f"ensemble object missing field {field!r}")
-    weights = obj["weights"]
-    states = obj["states"]
-    if not isinstance(states, list) or not states:
-        raise ValidationError("ensemble field 'states' must be a nonempty list")
-    if not isinstance(weights, list) or len(weights) != len(states):
-        raise ValidationError("ensemble field 'weights' must match 'states' in length")
-    mats = tuple(DensityMatrix(decode_matrix(s)) for s in states)
-    return Ensemble(tuple(float(w) for w in weights), mats)
+        if not isinstance(obj[field], list):
+            raise ValidationError(f"ensemble field {field!r} must be a list")
+    states = tuple(DensityMatrix(decode_matrix(s)) for s in obj["states"])
+    return Ensemble(obj["weights"], states)
 
 
 def load_ensemble(path: str) -> Ensemble:
@@ -101,27 +94,13 @@ def load_ensemble(path: str) -> Ensemble:
 
 
 def decode_spectrum(obj) -> SpectrumModel:
+    """A SpectrumModel of its fields; the model checks which fields its kind takes."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("spectrum object must be a JSON object with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "explicit":
-        if "levels" not in obj:
-            raise ValidationError("explicit spectrum missing field 'levels'")
-        model = SpectrumModel.explicit(obj["levels"])
-    elif kind == "oscillator":
-        if "frequencies" not in obj:
-            raise ValidationError("oscillator spectrum missing field 'frequencies'")
-        model = SpectrumModel.oscillator(obj["frequencies"])
-    elif kind == "logpower":
-        if "q" not in obj:
-            raise ValidationError("logpower spectrum missing field 'q'")
-        model = SpectrumModel.log_power(float(obj["q"]))
-    else:
-        raise ValidationError(f"unknown spectrum kind {kind!r}")
-    if "truncation" in obj:
-        # SpectrumModel refuses a truncation for any kind but log-power.
-        model = dataclasses.replace(model, truncation=obj["truncation"])
-    return model
+    unknown = sorted(set(obj) - SPECTRUM_FIELDS)
+    if unknown:
+        raise ValidationError(f"spectrum object has unknown field(s) {', '.join(map(repr, unknown))}")
+    return SpectrumModel(**obj)
 
 
 def canonical_json(obj) -> str:

@@ -620,16 +620,6 @@ def default_sweep_suite(seed: int = 20240801, trials: int = 200) -> list[SweepCo
     ]
 
 
-def run_suite(configs, on_report=None) -> list[SweepReport]:
-    reports = []
-    for config in configs:
-        report = run_sweep(config)
-        reports.append(report)
-        if on_report is not None:
-            on_report(report)
-    return reports
-
-
 @dataclass(frozen=True)
 class LaaReport:
     """Worst mixing slacks observed over random (rho, sigma, p) triples.

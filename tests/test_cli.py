@@ -7,6 +7,7 @@ import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,8 @@ import entrobound.verify as verify_mod
 from entrobound import __version__
 from entrobound.cli import SWEEP_OPTIONS, main
 from entrobound.ensembles import Ensemble
-from entrobound.gibbs import SpectrumModel, max_entropy, mean_energy
+from entrobound.bounds import PRESETS, continuity_bound
+from entrobound.gibbs import SpectrumModel, max_entropy, mean_energy, solve_inverse_temperature
 from entrobound.operators import DensityMatrix
 from entrobound.serialization import encode_ensemble, encode_matrix
 
@@ -147,6 +149,35 @@ class TestGibbsCommand:
         model = SpectrumModel.oscillator(1e-5)
         assert payload["energy"] == model.ground_energy + mean_energy(model, payload["lambda"])
 
+    @pytest.mark.parametrize("spectrum, ground, energy, lam", [
+        (["--levels", "0,1,2.5"], 0.0, "0.7", None),          # solved
+        (["--oscillator", "1,2"], 1.5, "3", None),            # solved
+        (["--logpower", "3"], 0.0, "2", None),                # solved
+        (["--levels", "0.5,1.5,2"], 0.5, "1.5", 0.0),         # uniform, mean level 4/3
+        (["--levels", "0,0.00001"], 0.0, "0", 1e4),           # ground limit
+        (["--levels", "0.25,0.25,1"], 0.25, "0.25", 1e4),     # ground limit
+        (["--oscillator", "1"], 0.5, "0.5", 1e4),             # ground limit
+        (["--logpower", "2.5"], 0.0, "0", 1e4),               # ground limit
+    ])
+    def test_printed_lines_satisfy_the_variational_identity(self, capsys, spectrum, ground,
+                                                            energy, lam):
+        # F = lam (E - E0) + ln Z(H - E0), with the printed mean energy E
+        # and the printed ln Z of H, ln Z(H - E0) - lam E0.
+        assert main(["gibbs", *spectrum, "--energy", energy, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        got = payload["lambda"]
+        assert lam is None or got == lam
+        assert payload["flag"] == ("lambda_cap" if lam == 1e4 else None)
+        identity = got * (payload["energy"] - ground) + payload["log_partition"] + got * ground
+        assert payload["max_entropy"] == pytest.approx(identity, rel=1e-12, abs=1e-12)
+
+    def test_floor_clamped_solve_keeps_its_flag(self, capsys):
+        assert main(["gibbs", "--oscillator", "1", "--energy", "1e9", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["flag"] == "lambda_floor"
+        model = SpectrumModel.oscillator(1.0)
+        assert payload["energy"] == model.ground_energy + mean_energy(model, payload["lambda"])
+
     @pytest.mark.parametrize("levels, energy, line", [
         ("1000000,1000000,1000001", "1000000", "max entropy: 0.69314718056 nats"),
         ("0,0.00001", "0", "max entropy: 0 nats"),
@@ -158,6 +189,9 @@ class TestGibbsCommand:
         assert main(["gibbs", "--levels", levels, "--energy", energy]) == 0
         out = capsys.readouterr().out.splitlines()
         assert line in out and "flag: lambda_cap" in out
+        # The ground limit's mean energy is E0; the clamped solve printed
+        # 4.75020812521e-06 for the second.
+        assert f"mean energy: {energy}" in out
         assert line == f"max entropy: {max_entropy(model, float(energy)):.12g} nats"
 
     def test_requires_exactly_one_target(self, capsys):
@@ -304,7 +338,7 @@ class TestBoundCommand:
             energy = repr(first + 0.4000244140625)
             assert main(["bound", "--preset", "entropy", f"--levels={levels}", "--epsilon", "0.5",
                          f"--energy={energy}"]) == 0
-            assert "bound: 2.62286247481 nats" in capsys.readouterr().out.splitlines()
+            assert "bound: 2.62286247482 nats" in capsys.readouterr().out.splitlines()
 
     def test_energy_below_ground_names_the_given_energy(self, capsys):
         # The F argument, E0 + (E - E0)/eps = -10.5, is not what the user gave.
@@ -335,13 +369,13 @@ class TestBoundCommand:
         rc = main(["bound", "--logpower", "3", "--preset", "entropy", "--epsilon", "0.08",
                    "--energy", "1"])
         assert rc == 0
-        assert "bound: 2.16332994401 nats" in capsys.readouterr().out.splitlines()
+        assert "bound: 2.16332994402 nats" in capsys.readouterr().out.splitlines()
 
     def test_raised_truncation_reaches_the_logpower_bound(self, capsys):
         rc = main(["bound", "--logpower", "2.5", "--preset", "entropy", "--epsilon", "0.08",
                    "--energy", "3", "--truncation", "100000"])
         assert rc == 0
-        assert "bound: 3.11462544519 nats" in capsys.readouterr().out.splitlines()
+        assert "bound: 3.1146254452 nats" in capsys.readouterr().out.splitlines()
 
     def test_logpower_exponent_near_one_bound(self, capsys):
         rc = main(["bound", "--logpower", "1.01", "--preset", "entropy", "--epsilon", "0.1",
@@ -364,6 +398,80 @@ class TestBoundCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--dim-b takes no --energy" in captured.err
+
+
+def _mp_envelope(model, x):
+    """F(E0 + x) in 60-digit arithmetic: lam x + ln Z(lam) where the mean excess is x."""
+    if x == 0:
+        return mpmath.mpf(0)
+    if model.kind == "explicit":
+        excitations = [mpmath.mpf(level) - mpmath.mpf(model.levels[0]) for level in model.levels]
+        if x >= mpmath.fsum(excitations) / len(excitations):
+            return mpmath.log(len(excitations))
+
+        def log_z(lam):
+            return mpmath.log(mpmath.fsum(mpmath.exp(-lam * e) for e in excitations))
+
+        def mean(lam):
+            return mpmath.fsum(e * mpmath.exp(-lam * e) for e in excitations) / mpmath.exp(log_z(lam))
+    else:
+        freqs = [mpmath.mpf(f) for f in model.frequencies]
+
+        def log_z(lam):
+            return -mpmath.fsum(mpmath.log(-mpmath.expm1(-lam * f)) for f in freqs)
+
+        def mean(lam):
+            return mpmath.fsum(f / mpmath.expm1(lam * f) for f in freqs)
+    # The float solve only starts the 60-digit root.
+    start = solve_inverse_temperature(model, model.ground_energy + float(x)).lam
+    lam = mpmath.findroot(lambda lam: mean(lam) - x, mpmath.mpf(start))
+    return lam * x + log_z(lam)
+
+
+class TestPrintedBoundsRoundUp:
+    SPECTRA = {"--oscillator=1": SpectrumModel.oscillator(1.0),
+               "--oscillator=1,1.5,2": SpectrumModel.oscillator((1.0, 1.5, 2.0)),
+               "--levels=" + ",".join(str(k) for k in range(16)): SpectrumModel.explicit(range(16))}
+    LABELS = ("spectrum envelope term", "main term", "additive term", "bound")
+
+    @staticmethod
+    def _queries():
+        rng = np.random.default_rng(20261021)
+        for spectrum in TestPrintedBoundsRoundUp.SPECTRA:
+            for preset in sorted(PRESETS):
+                for k in range(3):
+                    eps = float(np.exp(rng.uniform(math.log(0.005), math.log(0.5))))
+                    excess = 0.0 if k == 0 and preset == "entropy" else float(
+                        np.exp(rng.uniform(math.log(1e-3), math.log(3.0))))
+                    yield spectrum, preset, eps, excess, rng.uniform() < 0.3, rng.uniform() < 0.25
+
+    def test_every_printed_decimal_is_at_or_above_the_60_digit_value(self, capsys):
+        checked = 0
+        for spectrum, preset, eps, excess, pure, bits in self._queries():
+            model = self.SPECTRA[spectrum]
+            energy = model.ground_energy + excess
+            argv = ["bound", spectrum, "--preset", preset, "--epsilon", repr(eps),
+                    "--energy", repr(energy)] + ["--pure"] * pure + ["--bits"] * bits
+            assert main(argv) == 0
+            printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+            desc = PRESETS[preset]
+            with mpmath.workdps(60):
+                eps_eff = mpmath.mpf(eps) ** 2 / 2 if pure else mpmath.mpf(eps)
+                delta = mpmath.sqrt(2 * eps_eff)
+                x = (mpmath.mpf(energy) - mpmath.mpf(model.ground_energy)) / eps_eff
+                f = _mp_envelope(model, x)
+                main_term = (mpmath.mpf(desc.c_minus) + desc.c_plus) * delta * f
+                additive = desc.g_multiplier * ((1 + delta) * mpmath.log1p(delta)
+                                                - delta * mpmath.log(delta))
+                unit = mpmath.log(2) if bits else 1
+                for label, exact in zip(self.LABELS, (f, main_term, additive, main_term + additive)):
+                    value, name = printed[label].split()
+                    assert name == ("bits" if bits else "nats")
+                    assert mpmath.mpf(value) >= exact / unit, (argv, label, value)
+                    checked += 1
+            value = continuity_bound(preset, model, eps, energy, pure=pure).value / (LN2 if bits else 1)
+            assert abs(float(printed["bound"].split()[0]) - value) <= 1e-10 * value
+        assert checked == 4 * 3 * 6 * 3
 
 
 class TestReadmeExamples:
@@ -470,9 +578,19 @@ class TestVerifyCommand:
         assert "20" + "26" not in text.split("\n")[0]
         assert "utc" not in text.lower()
 
-    def test_suite_writes_all_csvs_and_manifest(self, tmp_path, capsys):
+    def test_suite_writes_all_csvs_and_manifest(self, tmp_path, capsys, monkeypatch):
+        # Each sweep's CSV and summary line are out before the next sweep starts.
+        printed, seen = [], []
+
+        def run_sweep(config):
+            printed.append(capsys.readouterr().out)
+            seen.append((len(list(tmp_path.glob("*.csv"))), "".join(printed).count("\n")))
+            return verify_mod.run_sweep(config)
+
+        monkeypatch.setattr("entrobound.cli.run_sweep", run_sweep)
         rc = main(["verify", "--suite", "--trials", "2", "--out-dir", str(tmp_path)])
         assert rc == 0
+        assert seen == [(k, k) for k in range(15)]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert len(manifest["reports"]) == 15
         for entry in manifest["reports"]:
@@ -805,3 +923,54 @@ class TestEnsembleDistCommand:
         rc = main(["ensemble-dist", "--first", str(bad), "--second", str(bad)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Outside input exits 1 with an error line, never a traceback."""
+
+    SPECTRA = [
+        {"kind": "explicit", "levels": "0123"},           # read as levels 0, 1, 2, 3
+        {"kind": "explicit", "levels": [0, None]},
+        {"kind": "explicit", "levels": None},
+        {"kind": "explicit", "levels": [0, True]},
+        {"kind": "explicit", "levels": [[0, 1]]},
+        {"kind": "explicit", "levels": [0, 1], "frequencies": [1.0]},  # dropped
+        {"kind": "explicit", "levels": [0, 1], "spacing": 1},
+        {"kind": "oscillator", "frequencies": "12"},
+        {"kind": "oscillator", "frequencies": True},
+        {"kind": "logpower", "q": "abc"},                 # a ValueError traceback
+        {"kind": "logpower", "q": None},
+        {"kind": "logpower", "q": True},
+        {"kind": "logpower", "q": 2.5, "truncation": "100"},
+        {"kind": ["explicit"], "levels": [0, 1]},
+        None,
+    ]
+
+    @pytest.mark.parametrize("command", [
+        ["gibbs", "--energy", "1"],
+        ["bound", "--preset", "entropy", "--epsilon", "0.1", "--energy", "1"],
+    ])
+    @pytest.mark.parametrize("spectrum", SPECTRA, ids=json.dumps)
+    def test_spectrum_file(self, tmp_path, capsys, command, spectrum):
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps(spectrum))
+        assert main(command + ["--spectrum", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("change", [
+        {"weights": ["a"]},                               # a ValueError traceback
+        {"weights": ["1"]}, {"weights": [None]}, {"weights": [True]},
+        {"weights": [float("nan")]}, {"weights": 1.0}, {"weights": [0.5, 0.5]},
+        {"states": []}, {"states": 2},
+    ], ids=json.dumps)
+    def test_ensemble_file(self, tmp_path, capsys, change):
+        first, _ = write_counterexample_ensembles(tmp_path)
+        single = encode_ensemble(Ensemble((1.0,), (DensityMatrix(np.diag([1.0, 0.0])),)))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**single, **change}))
+        assert main(["ensemble-dist", "--first", first, "--second", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err

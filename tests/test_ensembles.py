@@ -56,6 +56,11 @@ def vertex_enumeration_minimum(cost, p, q):
 
 
 class TestEnsembleContainer:
+    @pytest.mark.parametrize("weight", ["a", "1", None, True, math.nan, [1.0]])
+    def test_refuses_a_weight_that_is_no_number(self, weight):
+        with pytest.raises(ValidationError, match="Ensemble"):
+            Ensemble((weight,), (DensityMatrix(np.diag([1.0, 0.0])),))
+
     def test_average(self, rng):
         ens = random_ensemble(rng, 3, 2)
         avg = sum(p * st.matrix for p, st in zip(ens.weights, ens.states))

@@ -9,7 +9,6 @@ from entrobound.entropy import (
     EIGENVALUE_CUTOFF,
     _eta,
     binary_entropy,
-    checked_sub,
     conditional_entropy,
     holevo_chi,
     mutual_information,
@@ -87,12 +86,6 @@ class TestScalarFunctions:
     def test_thermal_entropy_domain(self):
         with pytest.raises(ValidationError):
             thermal_entropy(-0.1)
-
-    def test_checked_sub_rules(self):
-        assert checked_sub(math.inf, 1.0) == math.inf
-        assert checked_sub(1.0, 2.0) == -1.0
-        with pytest.raises(ValidationError):
-            checked_sub(math.inf, math.inf)
 
 
 class TestVonNeumann:

@@ -28,7 +28,6 @@ from entrobound.gibbs import (
     gibbs_family_distance,
     gibbs_state,
     log_partition,
-    log_power_growth_diagnostic,
     max_entropy,
     mean_energy,
     oscillator_entropy_cap,
@@ -60,6 +59,11 @@ class TestSpectrumModel:
     def test_truncation_is_log_power_only(self, kind, spectrum):
         with pytest.raises(ValidationError, match="truncation applies only to a log-power"):
             SpectrumModel(kind=kind, truncation=4096, **spectrum)
+
+    def test_levels_may_come_as_an_array_or_a_generator(self):
+        levels = (0.0, 1.0, 2.5)
+        assert SpectrumModel.explicit(np.array(levels)) == SpectrumModel.explicit(levels)
+        assert SpectrumModel.explicit(x for x in levels) == SpectrumModel.explicit(levels)
 
     def test_logpower_requires_q_above_one(self):
         with pytest.raises(ValidationError):
@@ -707,6 +711,18 @@ class TestEntropyMaximizer:
             assert sol.f_value == sol.log_z == math.log(len(levels)) == max_entropy(model, energy)
             assert sol.flag is None
 
+    @pytest.mark.parametrize("model, energy, log_g", [
+        (SpectrumModel.explicit((0.0, 0.0, 1.0)), 0.0, math.log(2.0)),
+        (SpectrumModel.explicit((-3.0, 1.0)), -3.0 - 1e-13, 0.0),
+        (SINGLE_MODE, 0.5, 0.0),
+        (SpectrumModel.log_power(2.5), 0.0, 0.0),
+    ])
+    def test_ground_limit_takes_no_solve(self, monkeypatch, model, energy, log_g):
+        monkeypatch.setattr(gibbs_mod, "_newton_solve", None)
+        assert entropy_maximizer(model, energy) == gibbs_mod.GibbsSolution(
+            lam=LAMBDA_CAP, energy=model.ground_energy, f_value=log_g, log_z=log_g,
+            flag="lambda_cap")
+
     def test_solves_below_the_mean_level(self):
         model = SpectrumModel.explicit((0.0, 1.0, 2.0))
         assert entropy_maximizer(model, 0.5) == solve_inverse_temperature(model, 0.5)
@@ -741,6 +757,11 @@ class TestOscillatorCap:
         energy = 6.0
         expected = 3 * (math.log((energy + e0) / (3 * e_star)) + 1)
         assert oscillator_entropy_cap(freqs, energy) == pytest.approx(expected, abs=1e-12)
+
+    def test_takes_the_frequencies_spectrum_model_takes(self):
+        assert oscillator_entropy_cap(1.0, 1.5) == oscillator_entropy_cap((1.0,), 1.5)
+        with pytest.raises(ValidationError, match="frequencies must be a list of numbers"):
+            oscillator_entropy_cap("1", 1.5)
 
     def test_rejects_energy_at_or_below_zero_point(self):
         with pytest.raises(ValidationError):
@@ -805,6 +826,11 @@ class TestGibbsFamilyDistance:
             assert gibbs_family_distance(random_density(rng, 4), h) >= -1e-9
 
 
+def _log_integral(q, lam, u0, power_weight=0.0):
+    """ln of the comparison integral: the sum of _logpower_integral_parts."""
+    return sum(gibbs_mod._logpower_integral_parts(q, lam, u0, power_weight))
+
+
 class TestLogPowerIntegral:
     def test_quadratic_case_matches_erfc_closed_form(self):
         # integral_1^inf exp(-lam ln(x)^2) dx
@@ -816,7 +842,7 @@ class TestLogPowerIntegral:
                 / (2 * math.sqrt(lam))
                 * erfc(-0.5 / math.sqrt(lam))
             )
-            got = math.exp(gibbs_mod._logpower_log_integral(2.0, lam, 0.0))
+            got = math.exp(_log_integral(2.0, lam, 0.0))
             assert abs(got - closed) <= 1e-12 * closed
 
     def test_series_within_integral_bracket_q3(self):
@@ -824,7 +850,7 @@ class TestLogPowerIntegral:
         model = SpectrumModel.log_power(3.0)
         for lam in (0.5, 0.2, 0.1):
             series = math.exp(log_partition(model, lam))
-            integral = math.exp(gibbs_mod._logpower_log_integral(3.0, lam, 0.0))
+            integral = math.exp(_log_integral(3.0, lam, 0.0))
             assert integral - 1e-9 <= series <= integral + 1.0 + 1e-9
 
     @pytest.mark.parametrize("q", [1.1, 1.5, 2.0, 2.5, 3.0, 5.0])
@@ -842,11 +868,11 @@ class TestLogPowerIntegral:
         cases = [(lam, u0, weight) for lam in 10.0 ** np.arange(-8, 5, 2)
                  for u0 in (0.0, math.log(10), math.log(4096), math.log(1e6))
                  for weight in (0.0, q)]
-        got = [gibbs_mod._logpower_log_integral(q, float(lam), u0, weight)
+        got = [_log_integral(q, float(lam), u0, weight)
                for lam, u0, weight in cases]
         monkeypatch.setattr(gibbs_mod, "quad", reference)
         with np.errstate(over="ignore"):
-            want = [gibbs_mod._logpower_log_integral(q, float(lam), u0, weight)
+            want = [_log_integral(q, float(lam), u0, weight)
                     for lam, u0, weight in cases]
         for case, g, w in zip(cases, got, want):
             assert g == w or abs(g - w) <= 1e-12, case
@@ -855,7 +881,7 @@ class TestLogPowerIntegral:
         # Computed, the gradient at the peak rounds to 1e-16 at lam = 1e-7,
         # far above the 5e-36 curvature scale; the width must stay 2e35.
         u0 = math.log(4096)
-        values = [gibbs_mod._logpower_log_integral(1.1, lam, u0) for lam in (1e-8, 1e-7, 1e-6)]
+        values = [_log_integral(1.1, lam, u0) for lam in (1e-8, 1e-7, 1e-6)]
         assert all(math.isfinite(v) for v in values)
         assert values[0] > values[1] > values[2]
         assert values[1] == pytest.approx(3.50494e68, rel=1e-5)
@@ -872,7 +898,7 @@ class TestLogPowerIntegral:
     def test_exhausted_panel_budget_raises(self, monkeypatch):
         monkeypatch.setattr(gibbs_mod, "QUAD_PANEL_BUDGET", 20)
         with pytest.raises(NumericalError, match=r"panels.*q=3\.0, lam=0\.5, u0=0\.0"):
-            gibbs_mod._logpower_log_integral(3.0, 0.5, 0.0)
+            _log_integral(3.0, 0.5, 0.0)
 
 
 class TestGrowthDiagnostics:
@@ -886,11 +912,12 @@ class TestGrowthDiagnostics:
         assert min(report.lambda_g) >= 0.0
 
     def test_logpower_q3_consistent(self):
-        report = log_power_growth_diagnostic(3.0, lambdas=(0.5, 0.2, 0.1, 0.05, 0.02, 0.01))
+        report = entropy_growth_diagnostic(SpectrumModel.log_power(3.0),
+                                           lambdas=(0.5, 0.2, 0.1, 0.05, 0.02, 0.01))
         assert report.verdict == "consistent"
 
     def test_logpower_q2_inconsistent_with_certificate(self):
-        report = log_power_growth_diagnostic(2.0, lambdas=(0.5, 0.2, 0.1))
+        report = entropy_growth_diagnostic(SpectrumModel.log_power(2.0), lambdas=(0.5, 0.2, 0.1))
         assert report.verdict == "inconsistent"
         assert report.certified_lower is not None
         assert report.certified_lower > 0.1
@@ -905,7 +932,7 @@ class TestGrowthDiagnostics:
         assert certified_growth_lower(3.0, 0.1) is None
 
     def test_logpower_q_one_and_a_half_inconsistent(self):
-        report = log_power_growth_diagnostic(1.5, lambdas=(0.5, 0.2, 0.1))
+        report = entropy_growth_diagnostic(SpectrumModel.log_power(1.5), lambdas=(0.5, 0.2, 0.1))
         assert report.verdict == "inconsistent"
 
     def test_short_truncation_reads_the_certified_measure(self):
@@ -913,7 +940,7 @@ class TestGrowthDiagnostics:
         # series; the diagnostic reads the same ln Z and mean as the solve.
         lambdas = (0.1, 0.01)
         model = SpectrumModel.log_power(1.5, truncation=100)
-        report = log_power_growth_diagnostic(1.5, lambdas=lambdas, truncation=100)
+        report = entropy_growth_diagnostic(model, lambdas=lambdas)
         assert report.lambda_g == tuple(lam * log_partition(model, lam) for lam in lambdas)
         assert report.energies == tuple(mean_energy(model, lam) for lam in lambdas)
         assert report.verdict == "inconsistent"

@@ -22,6 +22,12 @@ from entrobound.operators import (
 )
 from conftest import random_density, random_hermitian, random_pure_vector
 
+
+def _projector(vec: PureStateVector) -> DensityMatrix:
+    """|v><v| of a pure state."""
+    return DensityMatrix(np.outer(vec.vector, vec.vector.conj()))
+
+
 BELL = np.zeros((4, 4))
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
 
@@ -67,10 +73,6 @@ class TestValidation:
     def test_pure_vector_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             PureStateVector(np.array([1.0, 1.0]))
-
-    def test_pure_vector_density(self):
-        v = PureStateVector(np.array([1.0, 1.0]) / math.sqrt(2))
-        assert np.allclose(v.density().matrix, np.full((2, 2), 0.5))
 
     def test_shape_rejects_dim_mismatch(self):
         with pytest.raises(ValidationError):
@@ -175,7 +177,7 @@ class TestFidelityAndPurification:
         rho = random_density(rng, 4)
         vec = purify(rho)
         assert vec.dim == 16
-        marg = partial_trace(vec.density(), (4, 4), (0,))
+        marg = partial_trace(_projector(vec), (4, 4), (0,))
         assert np.allclose(marg.matrix, rho.matrix, atol=1e-10)
 
     def test_aligned_purifications_optimal_overlap_is_fidelity(self, rng):
@@ -187,7 +189,7 @@ class TestFidelityAndPurification:
         assert c == pytest.approx(f, abs=1e-10)
         assert delta == pytest.approx(math.sqrt(1 - f * f), abs=1e-9)
         for vec, target in ((phi, rho), (psi, sigma)):
-            marg = partial_trace(vec.density(), (3, 3), (0,))
+            marg = partial_trace(_projector(vec), (3, 3), (0,))
             assert np.allclose(marg.matrix, target.matrix, atol=1e-10)
 
     def test_aligned_purifications_detuned_overlap(self, rng):
@@ -199,7 +201,7 @@ class TestFidelityAndPurification:
         c = abs(np.vdot(phi.vector, psi.vector))
         assert c == pytest.approx(target, abs=1e-9)
         for vec, src in ((phi, rho), (psi, sigma)):
-            marg = partial_trace(vec.density(), (3, 3), (0,))
+            marg = partial_trace(_projector(vec), (3, 3), (0,))
             assert np.allclose(marg.matrix, src.matrix, atol=1e-10)
 
     def test_aligned_purifications_rejects_overlap_above_fidelity(self, rng):

@@ -19,7 +19,6 @@ from entrobound.serialization import (
     encode_matrix,
     format_float,
     jsonable,
-    load_density,
     load_json,
     sha256_hex,
     write_csv,
@@ -63,8 +62,8 @@ class TestFileLoading:
         rho = random_density(rng, 2)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(encode_matrix(rho.matrix)))
-        loaded = load_density(str(path))
-        assert np.allclose(loaded.matrix, rho.matrix)
+        loaded = decode_matrix(load_json(str(path)))
+        assert np.allclose(loaded, rho.matrix)
 
     def test_load_json_reports_path_on_garbage(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -134,6 +133,30 @@ class TestSpectrumCodec:
     def test_missing_parameter_named(self):
         with pytest.raises(ValidationError, match="'frequencies'"):
             decode_spectrum({"kind": "oscillator"})
+
+    @pytest.mark.parametrize("obj,match", [
+        ({"kind": "explicit", "levels": [0.0, 1.0], "frequencies": [1.0]},
+         "frequencies applies only to an oscillator spectrum"),
+        ({"kind": "oscillator", "frequencies": [1.0], "q": 2.0}, "q applies only to a log-power"),
+        ({"kind": "explicit", "levels": [0.0, 1.0], "spacing": 1.0}, "unknown field.*'spacing'"),
+        ({"kind": "explicit", "levels": "0123"}, "levels must be a list of numbers, got '0123'"),
+        ({"kind": "explicit", "levels": [0.0, None]}, "an entry of levels must be a number, got None"),
+        ({"kind": "explicit", "levels": None}, "needs 'levels'"),
+        ({"kind": "explicit", "levels": 5.0}, "levels must be a list of numbers, got 5.0"),
+        ({"kind": "oscillator", "frequencies": "12"}, "frequencies must be a list of numbers"),
+        ({"kind": "oscillator", "frequencies": [True]}, "an entry of frequencies must be a number"),
+        ({"kind": "oscillator", "frequencies": True}, "an entry of frequencies must be a number"),
+        ({"kind": "logpower", "q": "abc"}, "q must be a number, got 'abc'"),
+        ({"kind": "logpower", "q": False}, "q must be a number, got False"),
+        ({"kind": "logpower", "q": 2.5, "truncation": True}, "integer"),
+    ])
+    def test_refuses_a_field_or_value_its_kind_does_not_take(self, obj, match):
+        with pytest.raises(ValidationError, match=match):
+            decode_spectrum(obj)
+
+    def test_a_scalar_frequency_is_one_mode(self):
+        model = decode_spectrum({"kind": "oscillator", "frequencies": 2.0})
+        assert model == SpectrumModel.oscillator((2.0,)) == SpectrumModel.oscillator(2)
 
 
 class TestCanonicalJson:

@@ -36,7 +36,6 @@ from entrobound.verify import (
     laa_check,
     random_density_matrix,
     resolve_wiring,
-    run_suite,
     run_sweep,
     sample_state_pair,
 )
@@ -467,14 +466,6 @@ class TestSuite:
         assert sum(1 for c in suite if c.pure) == 5
         assert len({c.seed for c in suite}) == 15
         assert all(c.trials == 10 for c in suite)
-
-    def test_run_suite_invokes_callback(self):
-        configs = [small_config(trials=2, epsilons=(0.2,)),
-                   small_config(trials=2, epsilons=(0.3,), seed=11)]
-        seen = []
-        reports = run_suite(configs, on_report=seen.append)
-        assert len(reports) == 2
-        assert seen == reports
 
 
 class TestGrowthControl:

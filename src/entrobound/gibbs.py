@@ -76,15 +76,16 @@ class SpectrumModel:
 
     An explicit model also keeps its excitations (sorted levels less E0)
     as one read-only array, ``level_array`` (None for the other kinds),
-    which ln Z and every mean-energy probe read.  The constants the solve
-    reads are kept the same way, outside the fields, so equality, hashing
+    which every mean-energy probe reads.  The constants the solve and ln Z
+    read are kept the same way, outside the fields, so equality, hashing
     and repr see the fields only; each is computed when first read:
     ``ground_energy``, ``mean_excitation`` (the uniform state's, None
     unless explicit), ``_newton_start`` (the mode count and the gaps the
-    start reads) and, in ``_end_means``, the mean energy at each clamp
-    end.  A solve computes an end's mean only when it has to check
-    that end, or when an iterate lands on it, and keeps it, so the clamp
-    checks probe each end at most once per model.
+    start reads), ``_ground_split`` (what an explicit ln Z reads) and, in
+    ``_end_means``, the mean energy at each clamp end.  A solve computes
+    an end's mean only when it has to check that end, or when an iterate
+    lands on it, and keeps it, so the clamp checks probe each end at most
+    once per model.
     """
 
     kind: str
@@ -178,6 +179,15 @@ class SpectrumModel:
             freqs = self.frequencies
             return len(freqs), min(freqs), sum(freqs) / len(freqs) if len(freqs) > 1 else None
         return 1, math.log(2.0) ** self.q, None
+
+    @cached_property
+    def _ground_split(self) -> tuple[np.ndarray, np.float64, np.float64]:
+        """(excitations with +inf at the ground entries, the ground count, its ln), explicit only."""
+        ground = self.level_array == 0.0
+        count = ground.sum(dtype=float)
+        excited = np.where(ground, np.inf, self.level_array)
+        excited.flags.writeable = False
+        return excited, count, np.log(count)
 
     @property
     def ground_multiplicity(self) -> int:
@@ -437,8 +447,15 @@ def certified_growth_lower(q: float, lam: float) -> float | None:
 def log_partition(model: SpectrumModel, lam: float) -> float:
     """ln Z(lam) of H - E0, exact or (log-power) a certified upper bound.
 
-    Explicit spectra sum their excitations.  Oscillator modes use the
-    closed form -sum(ln(1 - e^-x)), x = lam * frequency.  Log-power
+    Oscillator modes use the closed form -sum(ln(1 - e^-x)), x = lam *
+    frequency.  Explicit spectra give _logsumexp(-lam x) bit for bit,
+    without its max, ==, where and exp calls: its largest exponent is
+    -0.0, at the ground entries, which it counts, so ln Z =
+    log1p(rest / count) + ln(count).  The model keeps the ground count,
+    its ln (numpy's, as _logsumexp's) and the excitations with +inf at
+    the ground, whose terms sum to rest in _logsumexp's order.  Where lam
+    times the lowest excitation underflows to 0, _logsumexp counts that
+    term with the ground, so such a lam takes _logsumexp.  Log-power
     spectra sum N = truncation terms, S_N, and add the comparison
     integral T_N of the remainder: ln(S_N + T_N), the smaller log-added
     to the larger.  The summand decreases in k, so T_N bounds the
@@ -446,22 +463,30 @@ def log_partition(model: SpectrumModel, lam: float) -> float:
     """
     if lam <= 0:
         raise ValidationError(f"log_partition: lam={lam!r} must be positive")
-    if model.kind == "explicit":
-        return _logsumexp(-lam * model.level_array)
     if model.kind == "oscillator":
         log_z = 0.0
         for f in model.frequencies:
             log_z -= _log1mexp(-lam * f)
         return log_z
+    if model.kind == "explicit":
+        gap = model._newton_start[1]
+        if gap is not None and lam * gap == 0.0:
+            return _logsumexp(-lam * model.level_array)
+        excited, count, log_count = model._ground_split
+        rest = np.exp(-lam * excited).sum()
+        return float(np.log1p(rest / count) + log_count)
     lead, rest = _logpower_log_measure(model, lam)
     return lead + rest
+
+
+_MINUS_LN2 = -math.log(2.0)
 
 
 def _log1mexp(log_x: float) -> float:
     """ln(1 - exp(log_x)) for log_x < 0, stable near both ends."""
     if log_x >= 0.0:
         raise ValidationError("log1mexp: argument must be negative")
-    if log_x > -math.log(2.0):
+    if log_x > _MINUS_LN2:
         return math.log(-math.expm1(log_x))
     return math.log1p(-math.exp(log_x))
 
@@ -474,17 +499,13 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
     measure, the series plus its comparison integral, not of the
     truncated series.  With ``variance=True`` returns (mean, Var_lam(H)),
     for explicit and oscillator spectra only: Var is -d mean / d lam,
-    the slope the Newton solve steps along.
+    the slope the Newton solve steps along.  Explicit weights are
+    exp(-lam x) with no shift: the lowest excitation is exactly 0, so
+    the shift by the largest exponent that _softmax applies is by -0.0,
+    and leaving it out keeps its bits.
     """
     if lam <= 0:
         raise ValidationError(f"mean_energy: lam={lam!r} must be positive")
-    if model.kind == "explicit":
-        excitations = model.level_array
-        probs = _softmax(-lam * excitations)
-        mean = float(probs @ excitations)
-        if variance:
-            return mean, float(probs @ (excitations - mean) ** 2)
-        return mean
     if model.kind == "oscillator":
         total = 0.0
         spread = 0.0
@@ -494,6 +515,14 @@ def mean_energy(model: SpectrumModel, lam: float, *, variance: bool = False):
             total += f * occupation
             spread += f * f * occupation * (occupation + 1.0)
         return (total, spread) if variance else total
+    if model.kind == "explicit":
+        excitations = model.level_array
+        weights = np.exp(-lam * excitations)
+        probs = weights / weights.sum()
+        mean = float(np.dot(probs, excitations))
+        if variance:
+            return mean, float(np.dot(probs, (excitations - mean) ** 2))
+        return mean
     if variance:
         raise ValidationError("mean_energy: the variance needs an exact ln Z, not a log-power series")
     lead_num, rest_num = _logpower_log_measure(model, lam, weighted=True)
@@ -607,6 +636,7 @@ def _newton_solve(model: SpectrumModel, excess: float) -> tuple[float, str | Non
     (SpectrumModel._end_means).
     """
     tol = SOLVE_RTOL * max(1.0, abs(excess))
+    above, below = excess + tol, excess - tol
     modes, gap, mean_gap = model._newton_start
     if excess <= 0.0 or gap is None:
         # At or below E0 a clamp holds unless the cap's mean rounds below
@@ -633,8 +663,8 @@ def _newton_solve(model: SpectrumModel, excess: float) -> tuple[float, str | Non
             lo = lam
         else:
             hi = lam
-        floor_out = floor_out or mean > excess + tol
-        cap_out = cap_out or mean < excess - tol
+        floor_out = floor_out or mean > above
+        cap_out = cap_out or mean < below
         step = None
         if mean > 0.0 and var > 0.0:
             du = math.log(mean / excess) * mean / (lam * var)
@@ -642,7 +672,7 @@ def _newton_solve(model: SpectrumModel, excess: float) -> tuple[float, str | Non
                 step = s
             elif lo < (s := lam * math.exp(min(du, 700.0))) < hi:
                 step = s
-        if converged or step is None:
+        if (converged or step is None) and not (floor_out and cap_out):
             if flagged := _clamp(model, excess, not floor_out, not cap_out):
                 return flagged
             floor_out = cap_out = True
@@ -665,11 +695,13 @@ def max_entropy_at_excess(model: SpectrumModel, excess: float) -> float:
     """F(E0 + x), the largest entropy among states of mean energy <= E0 + x, in nats.
 
     lam x + ln Z(lam) at the solved lam, an upper bound at any lam > 0;
-    ln(ground multiplicity) at |x| <= GROUND_TOL (a boundary
-    extrapolation); ln d for explicit levels at x at or above the mean
-    excitation, where the constraint is inactive.
+    ln(ground multiplicity) at x <= GROUND_TOL (a boundary
+    extrapolation, also for an x that excess_energy accepts below 0,
+    where lam x + ln Z at the cap would read below it); ln d for explicit
+    levels at x at or above the mean excitation, where the constraint is
+    inactive.
     """
-    if abs(excess) <= GROUND_TOL:
+    if excess <= GROUND_TOL:
         return math.log(model.ground_multiplicity)
     if model.kind == "explicit" and excess >= model.mean_excitation:
         return math.log(len(model.levels))
@@ -689,15 +721,16 @@ def entropy_maximizer(model: SpectrumModel, energy: float) -> GibbsSolution:
 
     The uniform state (lam = 0, F = ln Z = ln d, the mean level) for
     explicit levels at E at or above the mean level, unless E is a ground
-    not every level shares.  At E0 (|E - E0| <= GROUND_TOL) the ground
-    limit, with no solve: lam at LAMBDA_CAP, flagged "lambda_cap", mean
-    energy E0 and F = ln Z(H - E0) = ln(ground multiplicity).  Else
+    not every level shares.  At E0 (E - E0 <= GROUND_TOL, also for an E
+    that excess_energy accepts below E0) the ground limit, with no solve:
+    lam at LAMBDA_CAP, flagged "lambda_cap", mean energy E0 and
+    F = ln Z(H - E0) = ln(ground multiplicity).  Else
     solve_inverse_temperature(model, E); a clamped solve reports the mean
     energy of the state at its clamped lam, which misses E.
     """
     explicit = model.kind == "explicit"
     excess = math.inf if explicit and energy == math.inf else excess_energy(model, energy)
-    at_ground = abs(excess) <= GROUND_TOL
+    at_ground = excess <= GROUND_TOL
     ground = model.ground_energy
     if explicit and excess >= model.mean_excitation and (
             not at_ground or model.ground_multiplicity == len(model.levels)):

@@ -194,6 +194,22 @@ class TestGibbsCommand:
         assert f"mean energy: {energy}" in out
         assert line == f"max entropy: {max_entropy(model, float(energy)):.12g} nats"
 
+    @pytest.mark.parametrize("spectrum, ground, energy, line", [
+        (["--levels", "0,1"], "0", "-1e-10", "max entropy: 0 nats"),
+        (["--levels", "0,0,1"], "0", "-5e-10", "max entropy: 0.69314718056 nats"),
+        (["--oscillator", "1"], "0.5", "0.4999999999", "max entropy: 0 nats"),
+        (["--oscillator", "1,1.5,2"], "2.25", "2.249999999", "max entropy: 0 nats"),
+    ])
+    def test_below_the_ground_prints_the_ground_limit(self, capsys, spectrum, ground, energy,
+                                                      line):
+        # Within the accepted tolerance below E0 the ground limit, as at
+        # E0, with its mean energy E0; the clamped solve printed
+        # "max entropy: -1e-06 nats" for the first.
+        assert main(["gibbs", *spectrum, "--energy=" + energy]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert line in out and "flag: lambda_cap" in out
+        assert f"mean energy: {ground}" in out
+
     def test_requires_exactly_one_target(self, capsys):
         assert main(["gibbs", "--levels", "0,1"]) == 1
         assert main(["gibbs", "--levels", "0,1", "--energy", "0.2", "--lam", "1.0"]) == 1
@@ -295,6 +311,29 @@ class TestBoundCommand:
         main(base + ["--bits"])
         bits = json.loads(capsys.readouterr().out)["value"]
         assert bits == pytest.approx(nats / LN2, rel=1e-12)
+
+    @pytest.mark.parametrize("command,values", [
+        ("--oscillator 1.0 --preset entropy --epsilon 0.08 --energy 1.5",
+         ("2.2634585038777555", "1.4258810798583952", "0.8375774240193601", '"entropy"', "0.08",
+          "0.08", "1.5", "13.0", "3.564702699645988")),
+        ("--dim-b 8 --preset cond-entropy --epsilon 1.0",
+         ("5.545177444479562", "4.1588830833596715", "1.3862943611198906", '"cond-entropy"', "1.0",
+          "1.0", "null", "null", "2.0794415416798357")),
+        ("--logpower 2.5 --preset entropy --epsilon 0.08 --energy 3",
+         ("3.1146256176675386", "2.2770481936481786", "0.8375774240193601", '"entropy"', "0.08",
+          "0.08", "3.0", "37.5", "5.692620484120446")),
+        ("--logpower 2 --preset entropy --epsilon 0.01 --energy 2900",
+         ("77.15994485663936", "76.73234235818302", "0.42760249845634224", '"entropy"', "0.01",
+          "0.01", "2900.0", "290000.0", "542.5795961779897")),
+    ], ids=["oscillator", "dim-b", "logpower2.5", "logpower2"])
+    def test_readme_bounds_print_the_pinned_json(self, capsys, command, values):
+        # The README's bound commands with --json, byte for byte: the
+        # BoundResult fields in order, then the unit.
+        keys = ("value", "main_term", "additive_term", "preset", "epsilon", "epsilon_effective",
+                "energy", "f_argument", "f_value", "pure", "unit")
+        lines = [f'  "{k}": {v}' for k, v in zip(keys, values + ("false", '"nats"'), strict=True)]
+        assert main(["bound", *command.split(), "--json"]) == 0
+        assert capsys.readouterr().out == "{\n" + ",\n".join(lines) + "\n}\n"
 
     @pytest.mark.parametrize("energy", ["nan", "inf"])
     def test_non_finite_energy_exits_one(self, capsys, energy):

@@ -248,6 +248,10 @@ class TestInverseTemperatureSolve:
         sol = solve_inverse_temperature(TWO_LEVEL, 0.0)
         assert sol.flag == "lambda_cap"
         assert sol.lam == LAMBDA_CAP
+        # Below E0, within the accepted tolerance, the solve still reports
+        # the cap's lam x + ln Z, which max_entropy no longer reads.
+        sol = solve_inverse_temperature(TWO_LEVEL, -1e-10)
+        assert (sol.lam, sol.flag, sol.f_value) == (LAMBDA_CAP, "lambda_cap", LAMBDA_CAP * -1e-10)
 
     def test_rejects_energy_below_ground(self):
         with pytest.raises(ValidationError):
@@ -532,12 +536,12 @@ def test_exact_spectrum_solve_pinned_bit_for_bit(name, energy, lam, flag, f_valu
 @pytest.mark.parametrize("name,energy,lam,flag,f_value", SOLVE_PINS)
 def test_max_entropy_reads_the_pinned_f(name, energy, lam, flag, f_value):
     # max_entropy builds no GibbsSolution; its F is the solve's bit for
-    # bit, ln(ground multiplicity) within GROUND_TOL of E0, or ln d where
+    # bit, ln(ground multiplicity) at or below E0 + GROUND_TOL, or ln d where
     # an explicit E reaches the mean level.  entropy_maximizer reports it.
     model = PINNED_SPECTRA[name]
     e = float.fromhex(energy)
     excess = e - model.ground_energy
-    if abs(excess) <= GROUND_TOL:
+    if excess <= GROUND_TOL:
         f_value = math.log(model.ground_multiplicity).hex()
     elif model.kind == "explicit" and excess >= model.mean_excitation:
         f_value = math.log(len(model.levels)).hex()
@@ -714,6 +718,14 @@ class TestEntropyMaximizer:
     @pytest.mark.parametrize("model, energy, log_g", [
         (SpectrumModel.explicit((0.0, 0.0, 1.0)), 0.0, math.log(2.0)),
         (SpectrumModel.explicit((-3.0, 1.0)), -3.0 - 1e-13, 0.0),
+        # Within the accepted tolerance below E0 too: max_entropy read the
+        # cap's lam x + ln Z there, -1e-06 for TWO_LEVEL and
+        # -1.0000000827e-06 for the unit mode.
+        (TWO_LEVEL, -1e-10, 0.0),
+        (SpectrumModel.explicit((0.0, 0.0, 1.0)), -5e-10, math.log(2.0)),
+        (SpectrumModel.explicit((2.0, 2.0)), 2.0 - 1e-9, math.log(2.0)),
+        (SINGLE_MODE, 0.5 - 1e-10, 0.0),
+        (SpectrumModel.oscillator((1.0, 1.5, 2.0)), 2.25 - 1e-9, 0.0),
         (SINGLE_MODE, 0.5, 0.0),
         (SpectrumModel.log_power(2.5), 0.0, 0.0),
     ])
@@ -722,6 +734,7 @@ class TestEntropyMaximizer:
         assert entropy_maximizer(model, energy) == gibbs_mod.GibbsSolution(
             lam=LAMBDA_CAP, energy=model.ground_energy, f_value=log_g, log_z=log_g,
             flag="lambda_cap")
+        assert max_entropy(model, energy) == log_g
 
     def test_solves_below_the_mean_level(self):
         model = SpectrumModel.explicit((0.0, 1.0, 2.0))
@@ -996,6 +1009,36 @@ class TestScipyFreeKernels:
         assert np.array_equal(got, want, equal_nan=True)
         got, want = _logsumexp(a), float(logsumexp(a))
         assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+class TestExplicitKernels:
+    """Explicit ln Z and mean energy keep the bits of _logsumexp and _softmax without their shift."""
+
+    @given(model=explicit_spectra(), lam=st.floats(1e-8, 1e4))
+    @settings(max_examples=200, deadline=None)
+    def test_log_partition_is_logsumexp_bit_for_bit(self, model, lam):
+        a = -lam * model.level_array
+        assert log_partition(model, lam) == _logsumexp(a) == float(logsumexp(a))
+
+    @given(model=explicit_spectra(), lam=st.floats(1e-8, 1e4))
+    @settings(max_examples=200, deadline=None)
+    def test_mean_energy_is_the_softmax_mean_bit_for_bit(self, model, lam):
+        x = model.level_array
+        probs = _softmax(-lam * x)
+        mean = float(probs @ x)
+        assert mean_energy(model, lam) == mean
+        assert mean_energy(model, lam, variance=True) == (mean, float(probs @ (x - mean) ** 2))
+
+    @pytest.mark.parametrize("levels", [(0.0, 5e-324, 0.5, 1.0, 2.0), (-1e-310, 0.0, 0.0, 2.0)])
+    @pytest.mark.parametrize("lam", [1e-8, 0.1, 0.3, 1.0, 1e4])
+    def test_an_excitation_whose_exponent_underflows_counts_with_the_ground(self, levels, lam):
+        # lam x rounds to -0.0 for x = 5e-324 below lam = 0.5, and for
+        # x = 1e-310 nowhere on this grid: _logsumexp then counts that
+        # term at the maximum with the ground, and ln Z does too.  Summed
+        # as a term of its own it moved ln Z by an ulp at lam = 0.1 and 0.3.
+        model = SpectrumModel.explicit(levels)
+        a = -lam * model.level_array
+        assert log_partition(model, lam) == _logsumexp(a) == float(logsumexp(a))
 
 
 class TestLazyQuadrature:
